@@ -11,7 +11,6 @@ factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 class DimensionError(ValueError):
@@ -324,12 +323,3 @@ def tensor_det_identity(trace_a: int, trace_b: int, det_a: int, det_b: int, sign
     if det_a == -1 and det_b == 1:
         return -(trace_b**2 - trace_a**2 - 4)
     return trace_b**2 - trace_a**2 + 4
-
-
-def vector_gcd(v: tuple[int, ...]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g

@@ -39,10 +39,6 @@ class Presentation:
         nonedges = tuple(graph.nonedges())
         return cls(graph, nonedges, graph.n, len(nonedges))
 
-    def nonedge_index(self, i: int, j: int) -> int:
-        pair = (i, j) if i < j else (j, i)
-        return self.nonedges.index(pair)
-
 
 @dataclass(frozen=True)
 class GroupElement:

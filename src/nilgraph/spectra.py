@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
+from operator import mul
 
 from .exactlin import ExtNat, IntMatrix
 from .graphs import (
@@ -44,11 +45,20 @@ def _is_square(w: int) -> bool:
     return w >= 0 and isqrt(w) ** 2 == w
 
 
+def _icbrt(w: int) -> int:
+    """Floor of the cube root of w >= 0, by integer Newton steps from above."""
+    if w < 2:
+        return w
+    x = 1 << -(-w.bit_length() // 3)
+    while True:
+        y = (2 * x + w // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_positive_cube(w: int) -> bool:
-    if w < 1:
-        return False
-    k = round(w ** (1 / 3))
-    return any((k + d) ** 3 == w for d in (-1, 0, 1))
+    return w >= 1 and _icbrt(w) ** 3 == w
 
 
 def _divisors(v: int) -> list[int]:
@@ -74,8 +84,11 @@ def _one_edge_values(v: int) -> bool:
     """v = |a b (a+b)^2| or |a b (a^2 - b^2 - 4b)| for nonzero contributions.
 
     Any factor of absolute value >= 1 bounds the others, so |a|, |b| <= v
-    suffices for the enumeration.
+    suffices for the enumeration.  Odd v never occurs: an odd product needs
+    a and b odd, and then a + b and a^2 - b^2 - 4b are even.
     """
+    if v % 2:
+        return False
     for a in range(-v, v + 1):
         if a == 0:
             continue
@@ -92,8 +105,11 @@ def _one_edge_values(v: int) -> bool:
 
 
 def _pinched_cube_values(v: int) -> bool:
-    """v = |(a-2)(a+2)^2| for an integer a; |a - 2| <= v forces |a| <= v + 2."""
-    return any(abs((a - 2) * (a + 2) ** 2) == v for a in range(-v - 2, v + 3))
+    """v = |(a-2)(a+2)^2| for an integer a.  For |a| >= 2 the value lies
+    between (|a|-2)^3 and (|a|+2)^3, so |a| is within 2 of the cube root."""
+    k = _icbrt(v)
+    candidates = set(range(-2, 3)) | {s * (k + d) for s in (1, -1) for d in range(-2, 3)}
+    return any(abs((a - 2) * (a + 2) ** 2) == v for a in candidates)
 
 
 _ATOMS: dict[str, tuple] = {
@@ -499,6 +515,86 @@ def _make_finite_r(p: Presentation):
     return finite_r
 
 
+def _make_leaf_values(p: Presentation, order):
+    """Specialized evaluator for the leaves of a :class:`_Search` with the
+    given placement order (see ``_Search.leaves``).
+
+    Within one leaf and one sign pattern only the column of the solved
+    vertex v varies.  det(1 - M1) is affine in that column, so it is one dot
+    product with the cofactors of column v of 1 - M1.  Of 1 - M2 only the
+    columns of the non-edges at v move; the others are filled once.
+    """
+    n, N = p.n, p.N
+    nonedges = p.nonedges
+    v = order[-1]
+    others = order[:-1]
+    # Cofactor r of column v: its sign and the cells of its minor, row-major.
+    minors = [
+        ((-1) ** (r + v), [(c, rr) for rr in range(n) if rr != r for c in range(n) if c != v])
+        for r in range(n)
+    ]
+    eye = [1 if r == c else 0 for r in range(N) for c in range(N)]
+    # Cells (row-major index of row (a, b), a, b) of one column of 1 - M2.
+    rows_cells = [(m * N, a, b) for m, (a, b) in enumerate(nonedges)]
+    fixed = [(l, c, d) for l, (c, d) in enumerate(nonedges) if v not in (c, d)]
+    # Moving column l = (c, d) holds w[a] x[b] - w[b] x[a] in row (a, b),
+    # where x is column v and w is column d (if c = v) or minus column c.
+    moving = [
+        (d if c == v else c, c == v, [(i + l, a, b) for i, a, b in rows_cells])
+        for l, (c, d) in enumerate(nonedges)
+        if v in (c, d)
+    ]
+
+    def leaf_values(placed, solutions):
+        """Yield (cols, values) per sign pattern of the placed columns: cols
+        holds the placed columns with those signs (cols[v] is None), and
+        values[j] is the finite Reidemeister number of the matrix whose
+        column v is solutions[j], or None when it is infinite."""
+        oriented = [(w, tuple(-x for x in w)) for w in placed]
+        for signs in product((0, 1), repeat=n - 1):
+            cols: list = [None] * n
+            acols: list = [None] * n
+            for u, o, s in zip(others, oriented, signs):
+                w = o[s]
+                cols[u] = w
+                col = [-x for x in w]
+                col[u] += 1
+                acols[u] = col
+            cof = [sg * _det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
+            if not any(cof):
+                # det(1 - M1) vanishes whatever column v is.
+                yield cols, [None] * len(solutions)
+                continue
+            cof_v = cof[v]
+            d1s = [cof_v - sum(map(mul, x, cof)) for x in solutions]
+            if not N:
+                yield cols, [abs(d1) or None for d1 in d1s]
+                continue
+            base = eye[:]
+            for l, c, d in fixed:
+                cc, cd = cols[c], cols[d]
+                for i, a, b in rows_cells:
+                    base[i + l] += cd[a] * cc[b] - cd[b] * cc[a]
+            movers = [
+                (cols[u] if plus else tuple(-x for x in cols[u]), cells)
+                for u, plus, cells in moving
+            ]
+            values = []
+            for x, d1 in zip(solutions, d1s):
+                if d1 == 0:
+                    values.append(None)
+                    continue
+                m2 = base[:]
+                for w, cells in movers:
+                    for i, a, b in cells:
+                        m2[i] += w[a] * x[b] - w[b] * x[a]
+                d2 = _det_flat(m2, N)
+                values.append(abs(d1 * d2) if d2 else None)
+            yield cols, values
+
+    return leaf_values
+
+
 def _charpoly_key(cols, n) -> tuple:
     """Principal-minor sums of the matrix with the given columns (the
     characteristic polynomial coefficients up to sign); an isospectrality key."""
@@ -672,6 +768,28 @@ class _Search:
         if n == 0:
             yield [()]
             return
+        order = self.order
+        for v, placed, solutions in self.leaves():
+            oriented = [(w, tuple(-x for x in w)) for w in placed]
+            out = []
+            for cvec in solutions:
+                for signs in product((0, 1), repeat=n - 1):
+                    cols: list = [None] * n
+                    for k in range(n - 1):
+                        cols[order[k]] = oriented[k][signs[k]]
+                    cols[v] = cvec
+                    out.append(tuple(cols))
+            yield out
+
+    def leaves(self):
+        """Yield one (v, placed, solutions) per search leaf: v is the solved
+        vertex, placed the other columns in placement order with canonical
+        signs, and solutions the sorted choices for column v.  The leaf's
+        matrices are every solution combined with every sign pattern of the
+        placed columns."""
+        n = self.n
+        if n == 0:
+            return
         placed: list[tuple[int, ...]] = []
         # minors[k][mask] = det of the placed columns on the rows in mask.
         minor_stack: list[list[int]] = [[0] * (1 << n)]
@@ -714,9 +832,9 @@ class _Search:
                 target[choice[0]] = choice[1]
                 used.add(choice[1])
             if last:
-                batch = self._solve_last(v, rows, placed, minor_stack[-1])
-                if batch:
-                    yield batch
+                leaf = self._solve_last(v, rows, placed, minor_stack[-1])
+                if leaf is not None:
+                    yield leaf
             else:
                 pool = self._pool(rows)
                 self.budget.spend(len(pool))
@@ -744,9 +862,9 @@ class _Search:
                 target[choice[0]] = None
                 used.discard(choice[1])
 
-    def _solve_last(self, v: int, rows, placed, minors_top) -> list:
+    def _solve_last(self, v: int, rows, placed, minors_top) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed box;
-        returns the completed column tuples for this leaf (original order)."""
+        returns the leaf (v, placed, solutions), or None without solutions."""
         n = self.n
         full = (1 << n) - 1
         gvec = {}
@@ -755,7 +873,7 @@ class _Search:
             if m:
                 gvec[r] = m if (r + n - 1) % 2 == 0 else -m
         if not gvec:
-            return []
+            return None
         pivot = max(gvec, key=lambda r: (abs(gvec[r]), -r))
         gp = gvec[pivot]
         free = [r for r in rows if r != pivot]
@@ -789,19 +907,9 @@ class _Search:
                 if ok:
                     solutions.append(cvec)
         if not solutions:
-            return []
+            return None
         solutions.sort()
-        order = self.order
-        oriented = [(w, tuple(-x for x in w)) for w in placed]
-        out = []
-        for cvec in solutions:
-            for signs in product((0, 1), repeat=n - 1):
-                cols: list = [None] * n
-                for k in range(n - 1):
-                    cols[order[k]] = oriented[k][signs[k]]
-                cols[v] = cvec
-                out.append(tuple(cols))
-        return out
+        return v, tuple(placed), solutions
 
 
 def _automorphism_columns(
@@ -955,7 +1063,6 @@ def compute_spectrum_report(
     n_comps = len(dec.components)
     check_structure = n_comps > 1 or len(set(degs)) > 1
 
-    finite_r = _make_finite_r(p)
     search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
@@ -963,6 +1070,7 @@ def compute_spectrum_report(
         # Both determinant layers are symmetric functions of the eigenvalues
         # here (the commutator action is the full second compound), so the
         # value only depends on the characteristic polynomial.
+        finite_r = _make_finite_r(p)
         cache: dict[tuple, int | None] = {}
         sentinel = object()
         for batch in search.batches():
@@ -977,17 +1085,32 @@ def compute_spectrum_report(
                 best = observed.get(value)
                 if best is None or cols < best:
                     observed[value] = cols
+    elif n == 0:
+        # The trivial group: its one automorphism has one twisted class.
+        observed[1] = ()
     else:
-        for batch in search.batches():
-            for cols in batch:
-                if check_structure:
+        leaf_values = _make_leaf_values(p, search.order)
+        for v, placed, solutions in search.leaves():
+            if check_structure:
+                # Column signs never change a support, so one sign pattern
+                # per solution covers the whole leaf.
+                cols = [None] * n
+                for u, w in zip(search.order, placed):
+                    cols[u] = w
+                for cvec in solutions:
+                    cols[v] = cvec
                     _check_block_structure(p, cols, degs, comp_of, n_comps)
-                value = finite_r(cols)
-                if value is None:
-                    continue
-                best = observed.get(value)
-                if best is None or cols < best:
-                    observed[value] = cols
+            for cols, values in leaf_values(placed, solutions):
+                # Within one sign pattern the smallest solution gives the
+                # smallest column tuple; the reversed pairs keep it.
+                firsts = dict(zip(reversed(values), reversed(solutions)))
+                firsts.pop(None, None)
+                for value, cvec in firsts.items():
+                    cols[v] = cvec
+                    key = tuple(cols)
+                    best = observed.get(value)
+                    if best is None or key < best:
+                        observed[value] = key
     witnesses = {
         v: tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         for v, cols in observed.items()

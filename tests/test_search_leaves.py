@@ -1,0 +1,150 @@
+"""The per-leaf evaluation of the bounded search: the leaf stream against
+the matrix stream, the leaf evaluator against ``reidemeister_number``, the
+recorded reports of the evaluation-heavy searches, and the consistency
+guards of the search."""
+
+import json
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+import nilgraph.spectra as spectra
+from nilgraph.catalog import CATALOG
+from nilgraph.exactlin import IntMatrix
+from nilgraph.graphs import Graph, complete_graph, connected_components, empty_graph, path_graph
+from nilgraph.morphism import endo_from_matrix, reidemeister_number
+from nilgraph.nilgroup import Presentation
+from nilgraph.spectra import (
+    Z1,
+    SpectrumConsistencyError,
+    _Budget,
+    _check_block_structure,
+    _make_leaf_values,
+    _Search,
+    compute_spectrum_report,
+)
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "searches.json"
+CATALOG_BY_KEY = {e.key: e for e in CATALOG}
+DENSE_SEARCHES = (
+    ("K3", 3),
+    ("K3_plus_point", 1),
+    ("star", 1),
+    ("one_edge", 1),
+    ("diamond", 1),
+    ("P3_plus_point", 2),
+    ("two_edges", 3),
+)
+
+
+def _search(g: Graph, bound: int) -> _Search:
+    return _Search(Presentation.of(g), bound, True, _Budget(None))
+
+
+def _leaf_matrices(leaf_values, leaf):
+    """(column tuple, value) of every matrix of a leaf."""
+    v, placed, solutions = leaf
+    for cols, values in leaf_values(placed, solutions):
+        for cvec, value in zip(solutions, values):
+            cols[v] = cvec
+            yield tuple(cols), value
+
+
+class TestEmptyAndSingleVertex:
+    def test_empty_graph(self):
+        rep = compute_spectrum_report(Graph.from_edges(0, []), 1)
+        assert rep.observed == (1,)
+        assert rep.to_json()["witnesses"] == {"1": []}
+
+    def test_single_vertex(self):
+        rep = compute_spectrum_report(empty_graph(1), 2)
+        assert rep.observed == (2,)
+        assert rep.to_json()["witnesses"] == {"2": [[-1]]}
+        leaves = list(_search(empty_graph(1), 2).leaves())
+        assert leaves == [(0, (), [(-1,), (1,)])]
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.key)
+def test_leaf_evaluator_matches_reidemeister_number(entry):
+    """The first leaves of every catalog class at bound 1: the leaf's
+    matrices are the batch the matrix stream yields for it, and each value
+    is the exact Reidemeister number, None where that is infinite."""
+    g = entry.graph
+    p = Presentation.of(g)
+    search = _search(g, 1)
+    leaf_values = _make_leaf_values(p, search.order)
+    leaves = islice(search.leaves(), 20)
+    batches = islice(_search(g, 1).batches(), 20)
+    checked = 0
+    for leaf, batch in zip(leaves, batches, strict=True):
+        pairs = list(_leaf_matrices(leaf_values, leaf))
+        assert sorted(cols for cols, _ in pairs) == sorted(batch)
+        for cols, value in pairs:
+            m = IntMatrix.from_rows([[cols[j][i] for j in range(g.n)] for i in range(g.n)])
+            # ExtNat encodes infinity as None, as the evaluator does.
+            assert reidemeister_number(endo_from_matrix(p, m)).r.value == value, cols
+            checked += 1
+    assert checked > 0
+
+
+def test_dense_searches_match_the_recorded_reports():
+    """Report JSON of the evaluation-heavy searches, byte for byte as
+    recorded; this pins the lexicographically smallest witnesses."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    for key, bound in DENSE_SEARCHES:
+        g = CATALOG_BY_KEY[key].graph
+        try:
+            got = compute_spectrum_report(g, bound).to_json()
+        except SpectrumConsistencyError as e:
+            got = {"error": type(e).__name__, "message": str(e)}
+        assert json.dumps(got, sort_keys=True) == golden[f"{key}-B{bound}"]["outcome"], key
+
+
+class TestBlockStructureGuard:
+    @staticmethod
+    def _check(g: Graph, cols):
+        dec = connected_components(g)
+        comp_of = [None] * g.n
+        for ci, comp in enumerate(dec.components):
+            for v in comp:
+                comp_of[v] = ci
+        _check_block_structure(Presentation.of(g), cols, g.degrees(), comp_of, len(dec.components))
+
+    def test_degree_filtration(self):
+        # column of the degree-2 middle vertex reaches the degree-1 row 0
+        with pytest.raises(SpectrumConsistencyError, match="degree filtration"):
+            self._check(path_graph(3), ((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+
+    def test_column_in_two_components(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(SpectrumConsistencyError, match="single component"):
+            self._check(g, ((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+    def test_component_split(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(SpectrumConsistencyError, match="two different components"):
+            self._check(g, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+
+    def test_components_merged(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(SpectrumConsistencyError, match="not injective"):
+            self._check(g, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+
+    def test_automorphism_passes(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        self._check(g, ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+class TestReportGuards:
+    def test_value_outside_closed_form(self, monkeypatch):
+        # K2 realizes 1, 2, 3 at bound 1; claim the spectrum is {2, inf}
+        monkeypatch.setattr(spectra, "spectrum_by_decomposition", lambda g: Z1)
+        with pytest.raises(SpectrumConsistencyError, match="search realized 1, outside"):
+            compute_spectrum_report(complete_graph(2), 1)
+
+    def test_rule_with_finite_values(self, monkeypatch):
+        monkeypatch.setattr(spectra, "detect_r_infinity", lambda g: "Fake")
+        with pytest.raises(SpectrumConsistencyError, match=r"rule Fake fired but finite values \[2\]"):
+            compute_spectrum_report(empty_graph(1), 1)

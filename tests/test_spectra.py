@@ -23,6 +23,9 @@ from nilgraph.spectra import (
     ProductForm,
     SearchBudgetExceeded,
     _automorphism_columns,
+    _is_positive_cube,
+    _one_edge_values,
+    _pinched_cube_values,
     compute_spectrum_report,
     default_bound,
     detect_r_infinity,
@@ -69,6 +72,35 @@ class TestMembership:
     def test_two_edge_family(self):
         for v in (1, 8, 27, 2, 4, 6):
             assert spectrum_membership(TWO_EDGE_FAMILY, v)
+
+    def test_two_edge_family_huge_values(self):
+        # a true cube beyond float precision, and a value beyond float range
+        assert TWO_EDGE_FAMILY.contains((10**17 + 3) ** 3)
+        assert not TWO_EDGE_FAMILY.contains(10**400 + 1)
+
+    def test_cube_test_is_exact(self):
+        assert _is_positive_cube((10**17 + 3) ** 3)
+        assert not _is_positive_cube((10**17 + 3) ** 3 + 1)
+        assert not _is_positive_cube(10**400 + 1)
+        assert _is_positive_cube(10**600)
+        cubes = {k**3 for k in range(1, 13)}
+        for v in range(-5, 2001):
+            assert _is_positive_cube(v) == (v in cubes), v
+
+    def test_one_edge_and_pinched_cube_against_enumeration(self):
+        def one_edge(v):
+            return any(
+                abs(a * b * (a + b) ** 2) == v or abs(a * b * (a * a - b * b - 4 * b)) == v
+                for a in range(-v, v + 1)
+                for b in range(-v, v + 1)
+                if a and b
+            )
+
+        for v in range(1, 121):
+            assert _one_edge_values(v) == one_edge(v), v
+        for v in range(1, 2001):
+            pinched = any(abs((a - 2) * (a + 2) ** 2) == v for a in range(-v - 2, v + 3))
+            assert _pinched_cube_values(v) == pinched, v
 
     def test_squares_scaled_by_four(self):
         for v in (4, 12, 16, 20, 36, 48):
