@@ -6,8 +6,9 @@ Subcommands: ``analyze`` (structure + classification of a graph),
 small-graph catalog against its closed forms), ``oracle`` (finite-quotient
 orbit count vs the determinant formula).
 
-Exit codes: 0 success / verified, 1 verification failure, 2 parse error,
-3 relation violation, 4 not an automorphism, 5 resource guard.
+Exit codes: 0 success / verified, 1 verification failure, 2 parse error or
+out-of-range argument, 3 relation violation, 4 not an automorphism,
+5 resource guard.
 """
 
 from __future__ import annotations
@@ -258,6 +259,20 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo; argparse reports a violation as an
+    ``error:`` line with exit code 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilgraph",
@@ -281,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="bounded automorphism search, spectrum report")
     sp.add_argument("graph")
-    sp.add_argument("--bound", type=int, default=None)
+    sp.add_argument("--bound", type=_int_at_least(1), default=None)
     sp.add_argument("--budget", type=int, default=None, help="node budget for the search guard")
     add_output(sp)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("verify-tables", help="check all 18 small-graph classes")
-    sp.add_argument("--bound", type=int, default=None, help="override the per-class bound")
+    sp.add_argument("--bound", type=_int_at_least(1), default=None, help="override the per-class bound")
     sp.add_argument(
         "--only", action="append", default=None, metavar="KEY", help="restrict to catalog keys"
     )
@@ -297,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="finite-quotient count vs determinant formula")
     sp.add_argument("graph")
     sp.add_argument("aut")
-    sp.add_argument("--mod", type=int, default=None)
+    sp.add_argument("--mod", type=_int_at_least(2), default=None)
     add_output(sp)
     sp.set_defaults(func=cmd_oracle)
     return parser

@@ -144,45 +144,66 @@ def abs_inf(x: int) -> ExtNat:
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    The determinant of the empty 0x0 matrix is 1.
-    """
+    """Exact determinant; the determinant of the empty 0x0 matrix is 1."""
     if not m.is_square:
         raise DimensionError("determinant needs a square matrix")
-    return _det_rows(m.to_rows())
+    return det_flat(list(m.entries), m.rows)
 
 
-def _det_rows(a: list[list[int]]) -> int:
-    n = len(a)
+def det_flat(a: list, n: int) -> int:
+    """Determinant of an n x n matrix given as a flat row-major list, which
+    is overwritten.  Closed forms up to 4x4, fraction-free (Bareiss)
+    elimination beyond."""
     if n == 0:
         return 1
     if n == 1:
-        return a[0][0]
+        return a[0]
     if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        return a[0] * a[3] - a[1] * a[2]
     if n == 3:
-        (p, q, r), (s, t, u), (v, w, x) = a
-        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+        return (
+            a[0] * (a[4] * a[8] - a[5] * a[7])
+            - a[1] * (a[3] * a[8] - a[5] * a[6])
+            + a[2] * (a[3] * a[7] - a[4] * a[6])
+        )
+    if n == 4:
+        c23 = a[10] * a[15] - a[11] * a[14]
+        c13 = a[9] * a[15] - a[11] * a[13]
+        c12 = a[9] * a[14] - a[10] * a[13]
+        c03 = a[8] * a[15] - a[11] * a[12]
+        c02 = a[8] * a[14] - a[10] * a[12]
+        c01 = a[8] * a[13] - a[9] * a[12]
+        return (
+            (a[0] * a[5] - a[1] * a[4]) * c23
+            - (a[0] * a[6] - a[2] * a[4]) * c13
+            + (a[0] * a[7] - a[3] * a[4]) * c12
+            + (a[1] * a[6] - a[2] * a[5]) * c03
+            - (a[1] * a[7] - a[3] * a[5]) * c02
+            + (a[2] * a[7] - a[3] * a[6]) * c01
+        )
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
+        kk = k * n + k
+        if a[kk] == 0:
+            for r in range(k + 1, n):
+                if a[r * n + k] != 0:
+                    rb, kb = r * n, k * n
+                    for j in range(k, n):
+                        a[kb + j], a[rb + j] = a[rb + j], a[kb + j]
+                    sign = -sign
+                    break
+            else:
                 return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
+        akk = a[kk]
+        kb = k * n
         for i in range(k + 1, n):
-            aik = a[i][k]
-            arow = a[i]
-            krow = a[k]
+            ib = i * n
+            aik = a[ib + k]
             for j in range(k + 1, n):
-                arow[j] = (arow[j] * akk - aik * krow[j]) // prev
-            arow[k] = 0
+                a[ib + j] = (a[ib + j] * akk - aik * a[kb + j]) // prev
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return sign * a[n * n - 1]
 
 
 def rank(m: IntMatrix) -> int:

@@ -188,6 +188,15 @@ def is_connected(g: Graph) -> bool:
     return len(_components_of(g, list(range(g.n)))) == 1
 
 
+def is_complete_plus_point(g: Graph) -> bool:
+    """Complete graph on n-1 >= 2 vertices plus one isolated vertex, in any
+    labelling."""
+    if g.n < 3:
+        return False
+    degs = sorted(g.degrees())
+    return degs[0] == 0 and all(d == g.n - 2 for d in degs[1:])
+
+
 def _type_partition(g: Graph, parts: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Group the given vertex sets into classes of isomorphic induced subgraphs."""
     subs = [induced_subgraph(g, p) for p in parts]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import ExtNat, IntMatrix, abs_inf, det
+from .graphs import is_complete_plus_point
 from .nilgroup import (
     GroupElement,
     Presentation,
@@ -64,26 +65,18 @@ class ReidemeisterResult:
         return {"r1": self.r1.to_json(), "r2": self.r2.to_json(), "r": self.r.to_json()}
 
 
-def _commutator_entries(nonedges, columns) -> tuple[tuple[int, ...], ...]:
-    """Rows of the induced commutator matrix from vertex-image columns."""
-    out = []
-    for a, b in nonedges:
-        row = []
-        for c, d in nonedges:
-            cc, cd = columns[c], columns[d]
-            row.append(cd[b] * cc[a] - cd[a] * cc[b])
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def induced_commutator_matrix(p: Presentation, vertex_matrix: IntMatrix) -> IntMatrix:
     """Action on commutator generators: the (m, l) entry is the 2x2 minor of
     the vertex matrix on rows = m-th non-edge, columns = l-th non-edge."""
     if vertex_matrix.rows != p.n or vertex_matrix.cols != p.n:
         raise ValueError(f"vertex matrix must be {p.n}x{p.n}")
     columns = [vertex_matrix.column(c) for c in range(p.n)]
-    rows = _commutator_entries(p.nonedges, columns)
-    return IntMatrix(p.N, p.N, tuple(e for r in rows for e in r))
+    entries = []
+    for a, b in p.nonedges:
+        for c, d in p.nonedges:
+            cc, cd = columns[c], columns[d]
+            entries.append(cd[b] * cc[a] - cd[a] * cc[b])
+    return IntMatrix(p.N, p.N, tuple(entries))
 
 
 def make_endo(p: Presentation, images) -> Endo:
@@ -160,20 +153,6 @@ def apply_endo(e: Endo, g: GroupElement) -> GroupElement:
     return out
 
 
-def is_isolated_plus_complete(g) -> int | None:
-    """If the graph is a complete graph plus one isolated vertex (in any
-    labelling with the isolated vertex last), return n; else None."""
-    n = g.n
-    if n < 3:
-        return None
-    degs = g.degrees()
-    if degs[n - 1] != 0:
-        return None
-    if any(degs[v] != n - 2 for v in range(n - 1)):
-        return None
-    return n
-
-
 def companion_matrix(coeffs: tuple[int, ...] | list[int]) -> IntMatrix:
     """Companion matrix of a monic integer polynomial.
 
@@ -209,8 +188,9 @@ def companion_automorphism(p: Presentation, coeffs) -> Endo:
 
     Its Reidemeister number is 2 * |p(1) * p(-1)|_inf.
     """
-    n = is_isolated_plus_complete(p.graph)
-    if n is None:
+    g = p.graph
+    n = g.n
+    if not (is_complete_plus_point(g) and g.degree(n - 1) == 0):
         raise ValueError(
             "presentation must be a complete graph on the first n-1 vertices "
             "plus an isolated last vertex"

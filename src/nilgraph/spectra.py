@@ -15,17 +15,18 @@ from itertools import combinations, product
 from math import gcd, isqrt
 from operator import mul
 
-from .exactlin import ExtNat, IntMatrix
+from .exactlin import ExtNat, IntMatrix, det_flat
 from .graphs import (
     Graph,
     connected_components,
     induced_subgraph,
+    is_complete_plus_point,
     is_connected,
     is_isomorphic,
     join_decompose,
 )
-from .morphism import Endo, _commutator_entries
-from .nilgroup import GroupElement, Presentation
+from .morphism import endo_from_matrix, reidemeister_number
+from .nilgroup import Presentation
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -81,26 +82,27 @@ def _squares_family(w: int) -> bool:
 
 
 def _one_edge_values(v: int) -> bool:
-    """v = |a b (a+b)^2| or |a b (a^2 - b^2 - 4b)| for nonzero contributions.
+    """v = |a b (a+b)^2| or |a b (a^2 - b^2 - 4b)| for nonzero integers a, b.
 
-    Any factor of absolute value >= 1 bounds the others, so |a|, |b| <= v
-    suffices for the enumeration.  Odd v never occurs: an odd product needs
-    a and b odd, and then a + b and a^2 - b^2 - 4b are even.
+    For v >= 1 the last factor is nonzero, so a, b and a b all divide v:
+    a runs over +-d for the divisors d of v and b over +-e for the divisors
+    e of v / d.  Odd v never occurs: an odd product needs a and b odd, and
+    then a + b and a^2 - b^2 - 4b are even.
     """
     if v % 2:
         return False
-    for a in range(-v, v + 1):
-        if a == 0:
-            continue
-        for b in range(-v, v + 1):
-            if b == 0:
+    divs = _divisors(v)
+    for d in divs:
+        w = v // d
+        for e in divs:
+            if e > w:
+                break
+            if w % e:
                 continue
-            if abs(a * b) > v:
-                continue
-            if abs(a * b * (a + b) ** 2) == v:
-                return True
-            if abs(a * b * (a * a - b * b - 4 * b)) == v:
-                return True
+            for a in (d, -d):
+                for b in (e, -e):
+                    if abs(a * b * (a + b) ** 2) == v or abs(a * b * (a * a - b * b - 4 * b)) == v:
+                        return True
     return False
 
 
@@ -349,14 +351,6 @@ def detect_r_infinity(g: Graph) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _is_complete_plus_point(g: Graph) -> bool:
-    """Complete graph on n-1 vertices plus one isolated vertex, any labelling."""
-    if g.n < 3:
-        return False
-    degs = sorted(g.degrees())
-    return degs[0] == 0 and all(d == g.n - 2 for d in degs[1:])
-
-
 def _base_spectrum(h: Graph) -> SpectrumForm | None:
     """Spectrum of a join-indecomposable graph, when a closed form is known."""
     n = h.n
@@ -368,7 +362,7 @@ def _base_spectrum(h: Graph) -> SpectrumForm | None:
         if n == 3:
             return ODD_UNION_4N0
         return FULL_N0
-    if _is_complete_plus_point(h):
+    if is_complete_plus_point(h):
         return TWO_SQUARES if n == 3 else TWO_ODD_UNION_8N0
     if n == 4 and len(h.edges) == 1:
         return ONE_EDGE_FAMILY
@@ -426,95 +420,6 @@ class _Budget:
                 raise SearchBudgetExceeded("search node budget exhausted")
 
 
-def _det_flat(a: list, n: int) -> int:
-    """Determinant of a flat row-major list (destroyed); direct formulas up
-    to 4x4, in-place fraction-free elimination beyond."""
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0]
-    if n == 2:
-        return a[0] * a[3] - a[1] * a[2]
-    if n == 3:
-        return (
-            a[0] * (a[4] * a[8] - a[5] * a[7])
-            - a[1] * (a[3] * a[8] - a[5] * a[6])
-            + a[2] * (a[3] * a[7] - a[4] * a[6])
-        )
-    if n == 4:
-        c23 = a[10] * a[15] - a[11] * a[14]
-        c13 = a[9] * a[15] - a[11] * a[13]
-        c12 = a[9] * a[14] - a[10] * a[13]
-        c03 = a[8] * a[15] - a[11] * a[12]
-        c02 = a[8] * a[14] - a[10] * a[12]
-        c01 = a[8] * a[13] - a[9] * a[12]
-        return (
-            (a[0] * a[5] - a[1] * a[4]) * c23
-            - (a[0] * a[6] - a[2] * a[4]) * c13
-            + (a[0] * a[7] - a[3] * a[4]) * c12
-            + (a[1] * a[6] - a[2] * a[5]) * c03
-            - (a[1] * a[7] - a[3] * a[5]) * c02
-            + (a[2] * a[7] - a[3] * a[6]) * c01
-        )
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        kk = k * n + k
-        if a[kk] == 0:
-            for r in range(k + 1, n):
-                if a[r * n + k] != 0:
-                    rb, kb = r * n, k * n
-                    for j in range(k, n):
-                        a[kb + j], a[rb + j] = a[rb + j], a[kb + j]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[kk]
-        kb = k * n
-        for i in range(k + 1, n):
-            ib = i * n
-            aik = a[ib + k]
-            for j in range(k + 1, n):
-                a[ib + j] = (a[ib + j] * akk - aik * a[kb + j]) // prev
-        prev = akk
-    return sign * a[n * n - 1]
-
-
-def _make_finite_r(p: Presentation):
-    """Specialized evaluator: finite Reidemeister number of a column tuple,
-    or None when infinite."""
-    n, N = p.n, p.N
-    nonedges = p.nonedges
-    rng_n = range(n)
-    diag_n = [i * n + i for i in rng_n]
-    diag_N = [i * N + i for i in range(N)]
-
-    def finite_r(cols) -> int | None:
-        a = [-cols[c][r] for r in rng_n for c in rng_n]
-        for i in diag_n:
-            a[i] += 1
-        d1 = _det_flat(a, n)
-        if d1 == 0:
-            return None
-        if N == 0:
-            return abs(d1)
-        b = []
-        for am, bm in nonedges:
-            for cl, dl in nonedges:
-                cc = cols[cl]
-                cd = cols[dl]
-                b.append(cd[am] * cc[bm] - cd[bm] * cc[am])
-        for i in diag_N:
-            b[i] += 1
-        d2 = _det_flat(b, N)
-        if d2 == 0:
-            return None
-        return abs(d1 * d2)
-
-    return finite_r
-
-
 def _make_leaf_values(p: Presentation, order):
     """Specialized evaluator for the leaves of a :class:`_Search` with the
     given placement order (see ``_Search.leaves``).
@@ -560,7 +465,7 @@ def _make_leaf_values(p: Presentation, order):
                 col = [-x for x in w]
                 col[u] += 1
                 acols[u] = col
-            cof = [sg * _det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
+            cof = [sg * det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
             if not any(cof):
                 # det(1 - M1) vanishes whatever column v is.
                 yield cols, [None] * len(solutions)
@@ -588,7 +493,7 @@ def _make_leaf_values(p: Presentation, order):
                 for w, cells in movers:
                     for i, a, b in cells:
                         m2[i] += w[a] * x[b] - w[b] * x[a]
-                d2 = _det_flat(m2, N)
+                d2 = det_flat(m2, N)
                 values.append(abs(d1 * d2) if d2 else None)
             yield cols, values
 
@@ -605,7 +510,7 @@ def _charpoly_key(cols, n) -> tuple:
         total = 0
         for subset in combinations(range(n), size):
             sub = [cols[c][r] for r in subset for c in subset]
-            total += _det_flat(sub, size)
+            total += det_flat(sub, size)
         sums[size - 1] = total
     return tuple(sums)
 
@@ -759,27 +664,25 @@ class _Search:
             yield (ci, cj), rows
 
     def run(self):
-        for batch in self.batches():
-            yield from batch
-
-    def batches(self):
-        """Yield lists of completed column tuples, one list per search leaf."""
+        """Yield every completed column tuple: leaf by leaf, each solution
+        for column v with each sign pattern of the placed columns."""
         n = self.n
         if n == 0:
-            yield [()]
+            yield ()
             return
         order = self.order
         for v, placed, solutions in self.leaves():
             oriented = [(w, tuple(-x for x in w)) for w in placed]
-            out = []
+            patterns = []
+            for signs in product((0, 1), repeat=n - 1):
+                cols: list = [None] * n
+                for u, o, s in zip(order, oriented, signs):
+                    cols[u] = o[s]
+                patterns.append(cols)
             for cvec in solutions:
-                for signs in product((0, 1), repeat=n - 1):
-                    cols: list = [None] * n
-                    for k in range(n - 1):
-                        cols[order[k]] = oriented[k][signs[k]]
+                for cols in patterns:
                     cols[v] = cvec
-                    out.append(tuple(cols))
-            yield out
+                    yield tuple(cols)
 
     def leaves(self):
         """Yield one (v, placed, solutions) per search leaf: v is the solved
@@ -924,13 +827,10 @@ def _automorphism_columns(
     return search.run()
 
 
-def _endo_from_columns(p: Presentation, cols) -> Endo:
-    n, N = p.n, p.N
-    images = tuple(GroupElement(c, (0,) * N) for c in cols)
-    vm = IntMatrix(n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
-    rows = _commutator_entries(p.nonedges, cols)
-    cm = IntMatrix(N, N, tuple(e for r in rows for e in r))
-    return Endo(p, images, vm, cm)
+def _column_matrix(cols) -> IntMatrix:
+    """The square matrix whose columns are ``cols``."""
+    n = len(cols)
+    return IntMatrix(n, n, tuple(c[i] for i in range(n) for c in cols))
 
 
 def enumerate_automorphisms(
@@ -940,7 +840,7 @@ def enumerate_automorphisms(
     [-bound, bound], as endomorphisms with zero commutator parts in the
     generator images.  Deterministic order."""
     for cols in _automorphism_columns(p, bound, struct_prunes, node_budget):
-        yield _endo_from_columns(p, cols)
+        yield endo_from_matrix(p, _column_matrix(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,21 +970,19 @@ def compute_spectrum_report(
         # Both determinant layers are symmetric functions of the eigenvalues
         # here (the commutator action is the full second compound), so the
         # value only depends on the characteristic polynomial.
-        finite_r = _make_finite_r(p)
         cache: dict[tuple, int | None] = {}
         sentinel = object()
-        for batch in search.batches():
-            for cols in batch:
-                key = _charpoly_key(cols, n)
-                value = cache.get(key, sentinel)
-                if value is sentinel:
-                    value = finite_r(cols)
-                    cache[key] = value
-                if value is None:
-                    continue
-                best = observed.get(value)
-                if best is None or cols < best:
-                    observed[value] = cols
+        for cols in search.run():
+            key = _charpoly_key(cols, n)
+            value = cache.get(key, sentinel)
+            if value is sentinel:
+                value = reidemeister_number(endo_from_matrix(p, _column_matrix(cols))).r.value
+                cache[key] = value
+            if value is None:
+                continue
+            best = observed.get(value)
+            if best is None or cols < best:
+                observed[value] = cols
     elif n == 0:
         # The trivial group: its one automorphism has one twisted class.
         observed[1] = ()

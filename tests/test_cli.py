@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def usage_error(capsys, *argv):
+    """stderr of a command line that argparse rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_cycle5_rule_line(self, write, capsys):
         code, out = run(capsys, "analyze", write("g.json", C5))
@@ -143,6 +151,10 @@ class TestSearch:
         g = write("g.json", {"n": 3, "edges": []})
         assert main(["search", g, "--bound", "2", "--budget", "10"]) == 5
 
+    def test_bound_zero_exit_2(self, write, capsys):
+        err = usage_error(capsys, "search", write("g.json", N22), "--bound", "0")
+        assert "error: argument --bound: must be >= 1, got 0" in err
+
     def test_witness_roundtrip(self, write, capsys):
         from nilgraph.exactlin import ExtNat, IntMatrix
         from nilgraph.graphs import graph_from_json
@@ -174,6 +186,10 @@ class TestVerifyTables:
 
     def test_unknown_key(self, capsys):
         assert main(["verify-tables", "--only", "nope"]) == 2
+
+    def test_bound_zero_exit_2(self, capsys):
+        err = usage_error(capsys, "verify-tables", "--bound", "0")
+        assert "error: argument --bound: must be >= 1, got 0" in err
 
 
 class TestOracle:
@@ -209,3 +225,9 @@ class TestOracle:
         g = write("g.json", {"n": 3, "edges": []})
         a = write("a.json", {"matrix": [[1, 1, 0], [1, 0, 0], [0, 0, -1]]})
         assert main(["oracle", g, a, "--mod", "100"]) == 5
+
+    def test_modulus_one_exit_2(self, write, capsys):
+        g = write("g.json", N22)
+        a = write("a.json", {"matrix": [[1, 1], [1, 0]]})
+        err = usage_error(capsys, "oracle", g, a, "--mod", "1")
+        assert "error: argument --mod: must be >= 2, got 1" in err

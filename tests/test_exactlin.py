@@ -61,11 +61,33 @@ class TestDet:
             det(IntMatrix.zeros(2, 3))
 
     def test_matches_expansion_oracle(self):
+        """Every size from the empty matrix through the closed forms (n <= 4)
+        into the elimination, with pivots that force row swaps and with
+        singular matrices of both kinds the elimination meets."""
         rng = random.Random(20240811)
-        for n in range(1, 5):
-            for _ in range(120):
+        for n in range(8):
+            for trial in range(60):
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                assert det(mat(rows)) == det_by_expansion(rows)
+                kind = trial % 5
+                singular = False
+                if n >= 1 and kind == 1:
+                    # zero leading pivot: the first step swaps rows
+                    rows[0][0] = 0
+                elif n >= 2 and kind == 2:
+                    # proportional leading 2x2 rows: the second pivot is zero
+                    rows[1][:2] = [3 * rows[0][0], 3 * rows[0][1]]
+                elif n >= 3 and kind == 3:
+                    # dependent rows: singular, although every pivot may exist
+                    rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+                    singular = True
+                elif n >= 1 and kind == 4:
+                    # zero first column: singular, no pivot to swap in
+                    for r in rows:
+                        r[0] = 0
+                    singular = True
+                expected = det_by_expansion(rows)
+                assert det(mat(rows)) == expected, rows
+                assert expected == 0 or not singular
 
     def test_large_entries_exact(self):
         big = 10**30

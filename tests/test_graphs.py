@@ -14,6 +14,7 @@ from nilgraph.graphs import (
     empty_graph,
     graph_from_text,
     induced_subgraph,
+    is_complete_plus_point,
     is_connected,
     is_isomorphic,
     join_decompose,
@@ -56,6 +57,16 @@ class TestDegreeFiltration:
 
     def test_edgeless(self):
         assert degree_filtration(empty_graph(3)) == [(), ()]
+
+
+def test_complete_plus_point_in_every_labelling():
+    for n in range(6):
+        for g in all_graphs(n):
+            expected = n >= 3 and any(
+                g.degree(v) == 0 and induced_subgraph(g, [u for u in range(n) if u != v]).is_complete
+                for v in range(n)
+            )
+            assert is_complete_plus_point(g) == expected, g
 
 
 class TestComplement:

@@ -236,6 +236,9 @@ class TestCompanion:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             companion_automorphism(P3, (-1, 0, 1))
+        # the right shape, but the isolated vertex is not the last one
+        with pytest.raises(ValueError):
+            companion_automorphism(Presentation.of(Graph.from_edges(3, [(1, 2)])), (-1, 0, 1))
 
     def test_non_unit_constant_rejected(self):
         p = gamma_presentation(3)

@@ -26,6 +26,7 @@ from nilgraph.spectra import (
 )
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "searches.json"
+CATALOG_GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog_reports.json"
 CATALOG_BY_KEY = {e.key: e for e in CATALOG}
 DENSE_SEARCHES = (
     ("K3", 3),
@@ -68,16 +69,17 @@ class TestEmptyAndSingleVertex:
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.key)
 def test_leaf_evaluator_matches_reidemeister_number(entry):
     """The first leaves of every catalog class at bound 1: the leaf's
-    matrices are the batch the matrix stream yields for it, and each value
-    is the exact Reidemeister number, None where that is infinite."""
+    matrices are its slice of the matrix stream, and each value is the exact
+    Reidemeister number, None where that is infinite."""
     g = entry.graph
     p = Presentation.of(g)
     search = _search(g, 1)
     leaf_values = _make_leaf_values(p, search.order)
-    leaves = islice(search.leaves(), 20)
-    batches = islice(_search(g, 1).batches(), 20)
+    stream = _search(g, 1).run()
     checked = 0
-    for leaf, batch in zip(leaves, batches, strict=True):
+    for leaf in islice(search.leaves(), 20):
+        # A leaf holds each solution with each sign pattern of n - 1 columns.
+        batch = list(islice(stream, len(leaf[2]) << (g.n - 1)))
         pairs = list(_leaf_matrices(leaf_values, leaf))
         assert sorted(cols for cols, _ in pairs) == sorted(batch)
         for cols, value in pairs:
@@ -100,6 +102,17 @@ def test_dense_searches_match_the_recorded_reports():
         except SpectrumConsistencyError as e:
             got = {"error": type(e).__name__, "message": str(e)}
         assert json.dumps(got, sort_keys=True) == golden[f"{key}-B{bound}"]["outcome"], key
+
+
+def test_catalog_reports_match_the_recorded_reports(reports):
+    """Report JSON of all 18 catalog classes (bound 3 up to three vertices,
+    the verification bound on four), byte for byte as recorded."""
+    with open(CATALOG_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(CATALOG_BY_KEY)
+    for e in CATALOG:
+        got = reports.get(e.graph, e.verify_bound).to_json()
+        assert json.dumps(got, sort_keys=True) == golden[e.key], e.key
 
 
 class TestBlockStructureGuard:

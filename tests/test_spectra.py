@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from nilgraph.exactlin import INFINITY, ExtNat, IntMatrix
+from nilgraph.exactlin import INFINITY, ExtNat, IntMatrix, det
 from nilgraph.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph, simplicial_join
 from nilgraph.morphism import endo_from_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
@@ -98,9 +98,28 @@ class TestMembership:
 
         for v in range(1, 121):
             assert _one_edge_values(v) == one_edge(v), v
+        # A value v >= 1 has |a b| <= v, so the pairs with |a b| <= 600 list
+        # every value up to 600.
+        limit = 600
+        values = set()
+        for a in range(-limit, limit + 1):
+            if a == 0:
+                continue
+            reach = limit // abs(a)
+            for b in range(-reach, reach + 1):
+                if b:
+                    values.add(abs(a * b * (a + b) ** 2))
+                    values.add(abs(a * b * (a * a - b * b - 4 * b)))
+        for v in range(1, limit + 1):
+            assert _one_edge_values(v) == (v in values), v
         for v in range(1, 2001):
             pinched = any(abs((a - 2) * (a + 2) ** 2) == v for a in range(-v - 2, v + 3))
             assert _pinched_cube_values(v) == pinched, v
+
+    def test_two_edge_membership_of_a_large_even_value(self):
+        # |a b (a+b)^2| at a = 3**5, b = -2 * 3**5; found among the 42
+        # divisors of v, where a scan of |a|, |b| <= v would not end
+        assert TWO_EDGE_FAMILY.contains(2 * 3**20)
 
     def test_squares_scaled_by_four(self):
         for v in (4, 12, 16, 20, 36, 48):
@@ -211,15 +230,13 @@ class TestSpectrumByDecomposition:
 
 class TestEnumeration:
     def brute(self, g, bound):
-        from nilgraph.exactlin import _det_rows
-
         p = Presentation.of(g)
         n = g.n
         out = set()
         for flat in product(range(-bound, bound + 1), repeat=n * n):
             cols = tuple(tuple(flat[i * n + j] for i in range(n)) for j in range(n))
             rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-            if _det_rows(rows) not in (1, -1):
+            if det(IntMatrix.from_rows(rows)) not in (1, -1):
                 continue
             ok = True
             for a, b in g.edge_list():
