@@ -2,10 +2,10 @@
 
 Everything here is carried out over arbitrary-precision Python integers;
 no floating point is used anywhere.  This module supplies the arithmetic
-substrate for the Reidemeister-number computations: determinants
-(fraction-free), Smith normal form, kernel ranks, Kronecker products and
-the closed-form determinant of ``1 - eps * (A (x) B)`` for 2x2 unimodular
-factors.
+substrate for the Reidemeister-number computations: determinants and
+row echelon forms (fraction-free), Smith normal form, kernel ranks,
+Kronecker products and the closed-form determinant of
+``1 - eps * (A (x) B)`` for 2x2 unimodular factors.
 """
 
 from __future__ import annotations
@@ -206,12 +206,17 @@ def det_flat(a: list, n: int) -> int:
     return sign * a[n * n - 1]
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank of an integer matrix (over the rationals), computed exactly."""
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+def echelon(a: list[list[int]], ncols: int) -> list[int]:
+    """Bring the rows of ``a`` (lists of ``ncols`` integers, overwritten) to
+    row echelon form by fraction-free row operations: swaps, and replacing a
+    row by ``row * pivot - entry * pivot_row``.  Returns the pivot column of
+    each leading row, increasing; the rows after those are zero."""
+    nrows = len(a)
+    pivots: list[int] = []
     r = 0
     for col in range(ncols):
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
         if pivot is None:
             continue
@@ -219,13 +224,17 @@ def rank(m: IntMatrix) -> int:
         prow = a[r]
         pval = prow[col]
         for i in range(r + 1, nrows):
-            if a[i][col]:
-                iv = a[i][col]
+            iv = a[i][col]
+            if iv:
                 a[i] = [x * pval - iv * y for x, y in zip(a[i], prow)]
+        pivots.append(col)
         r += 1
-        if r == nrows:
-            break
-    return r
+    return pivots
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank of an integer matrix (over the rationals), computed exactly."""
+    return len(echelon(m.to_rows(), m.cols))
 
 
 def kernel_rank(m: IntMatrix) -> int:

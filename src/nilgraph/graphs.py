@@ -305,14 +305,18 @@ def graph_from_json(data) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError('graph JSON needs keys "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise GraphFormatError('"n" must be a non-negative integer')
+    if not isinstance(data["edges"], list):
+        raise GraphFormatError('"edges" must be a list')
     edges = []
     seen = set()
     for e in data["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not (
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)
+        ):
             raise GraphFormatError(f"bad edge entry {e!r}")
-        pair = _normalize_edge(int(e[0]), int(e[1]), n)
+        pair = _normalize_edge(e[0], e[1], n)
         if pair in seen:
             raise GraphFormatError(f"duplicate edge {list(pair)}")
         seen.add(pair)

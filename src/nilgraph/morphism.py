@@ -104,11 +104,16 @@ def endo_from_json(p: Presentation, data) -> Endo:
 
     if isinstance(data, dict) and "matrix" in data:
         rows = data["matrix"]
-        m = IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows)
+        ):
+            raise ValueError("matrix must be a list of rows of integers")
+        m = IntMatrix.from_rows(rows)
         if m.rows != p.n or m.cols != p.n:
             raise ValueError(f"matrix must be {p.n}x{p.n}")
         return endo_from_matrix(p, m)
-    if isinstance(data, dict) and "images" in data:
+    if isinstance(data, dict) and isinstance(data.get("images"), list):
         return make_endo(p, [element_from_json(p, img) for img in data["images"]])
     raise ValueError('automorphism JSON needs key "matrix" or "images"')
 

@@ -54,8 +54,9 @@ class GroupElement:
 def element_from_json(p: Presentation, data) -> GroupElement:
     if not isinstance(data, dict) or "z" not in data:
         raise ValueError('element JSON needs key "z"')
-    z = tuple(int(x) for x in data["z"])
-    t = tuple(int(x) for x in data.get("t", [0] * p.N))
+    z, t = data["z"], data.get("t", [0] * p.N)
+    if not (isinstance(z, list) and isinstance(t, list) and all(type(x) is int for x in z + t)):
+        raise ValueError("exponents must be lists of integers")
     return make_element(p, z, t)
 
 

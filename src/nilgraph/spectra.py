@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul, neg
 
-from .exactlin import ExtNat, IntMatrix, det_flat
+from .exactlin import ExtNat, IntMatrix, det_flat, echelon
 from .graphs import (
     Graph,
     connected_components,
@@ -553,49 +553,70 @@ def _charpoly_key4(cols) -> tuple:
     return (s1, s2, s3, s4)
 
 
-def _canonical_pool(rows_allowed: tuple[int, ...], n: int, bound: int) -> list[tuple[int, ...]]:
-    """All nonzero primitive vectors supported on the given rows with entries
-    in [-bound, bound], first nonzero entry positive, sorted."""
-    pool = []
+def _canonical(vectors) -> list[tuple[int, ...]]:
+    """The nonzero primitive vectors among ``vectors`` whose first nonzero
+    entry is positive, sorted."""
+    out = [x for x in vectors if gcd(*x) == 1 and next(c for c in x if c) > 0]
+    out.sort()
+    return out
+
+
+def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
+    """Every length-n column x supported on ``rows`` with entries in
+    [-bound, bound] that solves ``system``, whose rows (overwritten) hold
+    coefficients on ``rows`` followed by the right-hand side.  The system is
+    brought to echelon form; only its free coordinates are enumerated, and
+    each pivot coordinate follows by exact division, bottom row first."""
+    k = len(rows)
+    pivots = echelon(system, k + 1)
+    if pivots and pivots[-1] == k:
+        return []  # the rows combine to 0 = nonzero
+    # A candidate is the tuple of its free coordinates, a 0 that the rows
+    # off ``rows`` read, then the pivot coordinates as solved.  Column k of
+    # the system (the right-hand side) lines up with that 0.
+    order = [j for j in range(k + 1) if j not in pivots]
+    nfree = len(order) - 1
+    steps = []
+    for i in reversed(range(len(pivots))):
+        row = system[i]
+        steps.append((row[pivots[i]], row[k], [row[j] for j in order]))
+        order.append(pivots[i])
+    take = [nfree] * n
+    for i, j in enumerate(order):
+        if j < k:
+            take[rows[j]] = i
+    # itemgetter of one index returns the item, not a 1-tuple.
+    pick = itemgetter(*take) if n > 1 else lambda vals: (vals[take[0]],)
     span = range(-bound, bound + 1)
-    k = len(rows_allowed)
-    for lead in range(k):
-        for head in range(1, bound + 1):
-            for tail in product(span, repeat=k - lead - 1):
-                values = (0,) * lead + (head,) + tail
-                g = 0
-                for x in values:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g != 1:
-                    continue
-                vec = [0] * n
-                for r, x in zip(rows_allowed, values):
-                    vec[r] = x
-                pool.append(tuple(vec))
-    pool.sort()
-    return pool
-
-
-def _minors_vanish(nonedges, u, w) -> bool:
-    for a, b in nonedges:
-        if u[a] * w[b] != u[b] * w[a]:
-            return False
-    return True
+    out = []
+    for vals in product(*[span] * nfree, (0,)):
+        for d, rhs, coeffs in steps:
+            q, rem = divmod(rhs - sum(map(mul, coeffs, vals)), d)
+            if rem or not -bound <= q <= bound:
+                break
+            vals += (q,)
+        else:
+            out.append(pick(vals))
+    return out
 
 
 class _Search:
     """Column-by-column enumeration of relation-preserving unimodular
     matrices with bounded entries.
 
-    Columns are placed in a static order (most constrained first); the last
-    column is solved from the linear determinant equation instead of being
-    enumerated.  Column signs are canonicalized during the walk and expanded
-    at the leaves, which is lossless because every constraint in play is
-    invariant under negating a column.  Partial column sets are pruned by
-    the gcd of their maximal minors (a prefix of a unimodular matrix always
-    has coprime maximal minors).
+    Columns are placed in a static order (most constrained first).  The
+    edge relations tie a new column x to each placed neighbour column u by
+    u[a] x[b] = u[b] x[a] for every non-edge (a, b), which is linear in x;
+    so the candidates for a column are the solutions of that integer system
+    in the box, and the last column adds the determinant row g.x = +-1 to
+    it (see ``_box_solutions``).  Without relations a column ranges over the
+    cached pool of the box.  Column signs are canonicalized during the walk
+    and expanded at the leaves, which is lossless because every constraint
+    in play is invariant under negating a column.  Partial column sets are
+    pruned by the gcd of their maximal minors (a prefix of a unimodular
+    matrix always has coprime maximal minors).  The node budget is charged
+    the pool size per placed column and 2 (2B+1)^(k-1) per last column on
+    k rows, whatever the solve enumerates.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
@@ -630,18 +651,23 @@ class _Search:
             ]
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
-        self.adj = [tuple(g.neighbors(v)) for v in range(n)]
         self._pools: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
         # Static placement order: smallest unconstrained pool first, so the
-        # relation checks bite early; the last placed column is solved.
+        # relation constraints bite early; the last placed column is solved.
         sizes = [len(self._pool(self.filtration_rows[v])) for v in range(n)]
         self.order = sorted(range(n), key=lambda v: (sizes[v], v))
+        # For each depth, the depths of the neighbours placed before it.
+        self.neighbor_depths = [
+            [k for k in range(depth) if g.has_edge(self.order[k], v)]
+            for depth, v in enumerate(self.order)
+        ]
 
     def _pool(self, rows_allowed: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Candidate columns on the given rows with no relation constraint."""
         cached = self._pools.get(rows_allowed)
         if cached is None:
-            cached = _canonical_pool(rows_allowed, self.n, self.bound)
+            cached = _canonical(_box_solutions([], rows_allowed, self.n, self.bound))
             self._pools[rows_allowed] = cached
         return cached
 
@@ -741,18 +767,10 @@ class _Search:
             else:
                 pool = self._pool(rows)
                 self.budget.spend(len(pool))
-                neighbors_placed = [
-                    placed[k] for k in range(depth) if self.order[k] in self.adj[v]
-                ]
-                nonedges = self.nonedges
+                system = self._relation_system(depth, rows, placed)
+                if system:
+                    pool = _canonical(_box_solutions(system, rows, n, self.bound))
                 for vec in pool:
-                    ok = True
-                    for u in neighbors_placed:
-                        if not _minors_vanish(nonedges, u, vec):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
                     table, g = self._extend_minors(minor_stack[-1], vec, depth + 1)
                     if g != 1:
                         continue
@@ -766,53 +784,47 @@ class _Search:
                 used.discard(choice[1])
 
     def _solve_last(self, v: int, rows, placed, minors_top) -> tuple | None:
-        """Solve sum_r g_r c_r = +-1 for the final column over the allowed box;
-        returns the leaf (v, placed, solutions), or None without solutions."""
+        """Solve sum_r g_r c_r = +-1 for the final column over the allowed box,
+        together with its relation constraints; returns the leaf
+        (v, placed, solutions), or None without solutions."""
         n = self.n
         full = (1 << n) - 1
-        gvec = {}
-        for r in rows:
-            m = minors_top[full ^ (1 << r)]
-            if m:
-                gvec[r] = m if (r + n - 1) % 2 == 0 else -m
-        if not gvec:
+        g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
+        if not any(g):
             return None
-        pivot = max(gvec, key=lambda r: (abs(gvec[r]), -r))
-        gp = gvec[pivot]
-        free = [r for r in rows if r != pivot]
-        coeffs = [gvec.get(r, 0) for r in free]
-        bound = self.bound
-        span = range(-bound, bound + 1)
-        self.budget.spend(2 * (2 * bound + 1) ** len(free))
-        neighbors_placed = [
-            placed[k] for k in range(n - 1) if self.order[k] in self.adj[v]
-        ]
-        nonedges = self.nonedges
-        solutions = []
-        for assign in product(span, repeat=len(free)):
-            partial = 0
-            for c, x in zip(coeffs, assign):
-                partial += c * x
-            for s in (1, -1):
-                q, rem = divmod(s - partial, gp)
-                if rem or not (-bound <= q <= bound):
-                    continue
-                vec = [0] * n
-                for r, x in zip(free, assign):
-                    vec[r] = x
-                vec[pivot] = q
-                cvec = tuple(vec)
-                ok = True
-                for u in neighbors_placed:
-                    if not _minors_vanish(nonedges, u, cvec):
-                        ok = False
-                        break
-                if ok:
-                    solutions.append(cvec)
+        self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
+        system = self._relation_system(n - 1, rows, placed)
+        system.append(g + [1])
+        # The solutions for -1 are the negated solutions for +1.
+        solutions = _box_solutions(system, rows, n, self.bound)
+        solutions += [tuple(map(neg, c)) for c in solutions]
         if not solutions:
             return None
         solutions.sort()
         return v, tuple(placed), solutions
+
+    def _relation_system(self, depth: int, rows, placed) -> list[list[int]]:
+        """The edge-relation constraints on the column placed at ``depth``:
+        u[a] x[b] - u[b] x[a] = 0 for each placed neighbour column u and
+        each non-edge (a, b), as the distinct nonzero rows of coefficients
+        on ``rows`` followed by the right-hand side 0."""
+        depths = self.neighbor_depths[depth]
+        if not depths:
+            return []
+        slot = {r: j for j, r in enumerate(rows)}
+        pairs = [(slot.get(a), slot.get(b), a, b) for a, b in self.nonedges]
+        distinct = set()
+        for k in depths:
+            u = placed[k]
+            for ja, jb, a, b in pairs:
+                row = [0] * (len(rows) + 1)
+                if jb is not None:
+                    row[jb] = u[a]
+                if ja is not None:
+                    row[ja] = -u[b]
+                if any(row):
+                    distinct.add(tuple(row))
+        return [list(row) for row in distinct]
 
 
 def _automorphism_columns(
@@ -895,9 +907,16 @@ def default_bound(g: Graph) -> int:
     return 1
 
 
-def _check_block_structure(p: Presentation, cols, degs, comp_of, n_comps) -> None:
+def _check_block_structure(
+    p: Presentation, cols, degs, comp_of, n_comps, columns=None, seen=None
+) -> dict:
+    """Check that the given columns (all by default) respect the degree
+    filtration and, with several components, that each component maps into
+    one component, injectively.  ``seen`` maps the components of columns
+    checked before to their targets; returns that map with these columns."""
     n = p.n
-    for c in range(n):
+    columns = range(n) if columns is None else columns
+    for c in columns:
         dc = degs[c]
         col = cols[c]
         for r in range(n):
@@ -905,9 +924,9 @@ def _check_block_structure(p: Presentation, cols, degs, comp_of, n_comps) -> Non
                 raise SpectrumConsistencyError(
                     f"degree filtration violated at entry ({r}, {c})"
                 )
+    seen = {} if seen is None else dict(seen)
     if n_comps > 1:
-        seen = {}
-        for c in range(n):
+        for c in columns:
             ci = comp_of[c]
             if ci is None:
                 continue
@@ -923,6 +942,7 @@ def _check_block_structure(p: Presentation, cols, degs, comp_of, n_comps) -> Non
                 )
         if len(set(seen.values())) != len(seen):
             raise SpectrumConsistencyError("component assignment is not injective")
+    return seen
 
 
 def compute_spectrum_report(
@@ -991,13 +1011,15 @@ def compute_spectrum_report(
         for v, placed, solutions in search.leaves():
             if check_structure:
                 # Column signs never change a support, so one sign pattern
-                # per solution covers the whole leaf.
+                # covers the whole leaf: the placed columns are checked once,
+                # then column v of each solution.
                 cols = [None] * n
                 for u, w in zip(search.order, placed):
                     cols[u] = w
+                seen = _check_block_structure(p, cols, degs, comp_of, n_comps, search.order[:-1])
                 for cvec in solutions:
                     cols[v] = cvec
-                    _check_block_structure(p, cols, degs, comp_of, n_comps)
+                    _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
             for cols, values in leaf_values(placed, solutions):
                 # Within one sign pattern the smallest solution gives the
                 # smallest column tuple; the reversed pairs keep it.

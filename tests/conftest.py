@@ -4,10 +4,16 @@ so the acceptance criteria and unit tests do not repeat the heavy searches."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from nilgraph.catalog import CATALOG
 from nilgraph.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from nilgraph.spectra import compute_spectrum_report
+
+# Property tests draw the same examples on every run and write no example
+# database, so the suite stays deterministic.
+settings.register_profile("nilgraph", derandomize=True, database=None, deadline=None)
+settings.load_profile("nilgraph")
 
 
 @pytest.fixture(scope="session")

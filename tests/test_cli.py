@@ -71,6 +71,19 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"n": 2, "edges": [[0, 1.0]]},
+            {"n": 2, "edges": [[0, True]]},
+            {"n": True, "edges": []},
+            {"n": 2, "edges": 5},
+        ],
+    )
+    def test_non_integer_graph_exit_2(self, write, capsys, graph):
+        assert main(["analyze", write("g.json", graph)]) == 2
+
+
 class TestReid:
     def test_rank2_example(self, write, capsys):
         g = write("g.json", N22)
@@ -96,6 +109,26 @@ class TestReid:
         g = write("g.json", P3)
         a = write("a.json", {"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]})
         assert main(["reid", g, a]) == 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.9, 1], [1, 0]], [["1", 1], [1, 0]], [[True, 1], [1, 0]], 5, [1, 0]],
+        ids=["float", "string", "bool", "not-a-list", "not-rows"],
+    )
+    def test_non_integer_entry_exit_2(self, write, capsys, matrix):
+        g = write("g.json", N22)
+        a = write("a.json", {"matrix": matrix})
+        assert main(["reid", g, a]) == 2
+        assert "list of rows of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "images", [[{"z": [1, 0.0]}, {"z": [0, 1]}], [{"z": 5}, {"z": [0, 1]}], 5],
+        ids=["float", "not-a-list", "images-not-a-list"],
+    )
+    def test_non_integer_image_exit_2(self, write, capsys, images):
+        g = write("g.json", N22)
+        a = write("a.json", {"images": images})
+        assert main(["reid", g, a]) == 2
 
     def test_not_automorphism_exit_4(self, write, capsys):
         g = write("g.json", N22)

@@ -90,15 +90,16 @@ def test_leaf_evaluator_matches_reidemeister_number(entry):
     assert checked > 0
 
 
-def test_dense_searches_match_the_recorded_reports():
+def test_dense_searches_match_the_recorded_reports(reports):
     """Report JSON of the evaluation-heavy searches, byte for byte as
-    recorded; this pins the lexicographically smallest witnesses."""
+    recorded; this pins the lexicographically smallest witnesses.  The
+    session cache already holds those the acceptance tests search."""
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     for key, bound in DENSE_SEARCHES:
         g = CATALOG_BY_KEY[key].graph
         try:
-            got = compute_spectrum_report(g, bound).to_json()
+            got = reports.get(g, bound).to_json()
         except SpectrumConsistencyError as e:
             got = {"error": type(e).__name__, "message": str(e)}
         assert json.dumps(got, sort_keys=True) == golden[f"{key}-B{bound}"]["outcome"], key
@@ -144,6 +145,26 @@ class TestBlockStructureGuard:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(SpectrumConsistencyError, match="not injective"):
             self._check(g, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
+
+    def test_solved_column_against_placed_columns(self):
+        """The search checks the placed columns once per leaf, then only the
+        solved column against the components they map."""
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        dec = connected_components(g)
+        comp_of = [0, 0, 1, 1]
+        assert [set(c) for c in dec.components] == [{0, 1}, {2, 3}]
+        p, degs = Presentation.of(g), g.degrees()
+        cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), None]
+        seen = _check_block_structure(p, cols, degs, comp_of, 2, (0, 1, 2))
+        assert seen == {0: 0, 1: 1}
+        cols[3] = (1, 0, 0, 0)
+        with pytest.raises(SpectrumConsistencyError, match="two different components"):
+            _check_block_structure(p, cols, degs, comp_of, 2, (3,), seen)
+        cols = [(0, 0, 1, 0), (0, 0, 0, 1), None, None]
+        seen = _check_block_structure(p, cols, degs, comp_of, 2, (0, 1))
+        cols[2] = (0, 0, 0, 1)
+        with pytest.raises(SpectrumConsistencyError, match="not injective"):
+            _check_block_structure(p, cols, degs, comp_of, 2, (2,), seen)
 
     def test_automorphism_passes(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
