@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="bounded automorphism search, spectrum report")
     sp.add_argument("graph")
     sp.add_argument("--bound", type=_int_at_least(1), default=None)
-    sp.add_argument("--budget", type=int, default=None, help="node budget for the search guard")
+    sp.add_argument("--budget", type=_int_at_least(0), default=None, help="node budget for the search guard")
     add_output(sp)
     sp.set_defaults(func=cmd_search)
 

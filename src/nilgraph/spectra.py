@@ -11,9 +11,9 @@ always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd, isqrt
-from operator import itemgetter, mul, neg
+from itertools import combinations, product, repeat
+from math import factorial, gcd, isqrt
+from operator import add, itemgetter, mul, neg, sub
 
 from .exactlin import ExtNat, IntMatrix, det_flat, echelon
 from .graphs import (
@@ -420,18 +420,112 @@ class _Budget:
                 raise SearchBudgetExceeded("search node budget exhausted")
 
 
-def _make_leaf_values(p: Presentation, order):
-    """Specialized evaluator for the leaves of a :class:`_Search` with the
-    given placement order (see ``_Search.leaves``).
+def _sign_patterns(n: int, others, placed):
+    """Per sign pattern of the placed columns, in ``product`` order (a 1
+    negates): the n columns with placed[i] at others[i], None elsewhere."""
+    oriented = [(w, tuple(-x for x in w)) for w in placed]
+    for signs in product((0, 1), repeat=len(placed)):
+        cols: list = [None] * n
+        for u, o, s in zip(others, oriented, signs):
+            cols[u] = o[s]
+        yield cols
 
-    Within one leaf and one sign pattern only the column of the solved
-    vertex v varies.  det(1 - M1) is affine in that column, so it is one dot
+
+def _charpoly_width(n: int, bound: int) -> int:
+    """Digit width of the packed characteristic-polynomial key: with entries
+    in [-bound, bound], |E_k| <= C(n, k) k! bound^k <= n! bound^n < 2^(width-1)."""
+    return (factorial(n) * bound**n).bit_length() + 1
+
+
+def _make_charpoly_keys(order, width: int):
+    """Packed characteristic-polynomial keys for the leaves of a search with
+    the given placement order: sum_k (E_k + 2^(width-1)) 2^(width (k-1)) over
+    the principal-minor sums E_1..E_n, exact and injective.  A principal
+    minor on T + {v} is linear in column v (Laplace along it), and negating
+    column u negates those whose rows hold u; so within one leaf and sign
+    pattern the key is one dot product with column v."""
+    n = len(order)
+    v, others = order[-1], order[:-1]
+    offset = sum(1 << (width * k + width - 1) for k in range(n))
+    # Per subset T of the placed vertices (indexed like the sign patterns),
+    # per row r of T + {v}: the sign and digit of the cofactor of entry (r, v)
+    # in det(M_{T + v}) and the cells (placed index, row) of its minor.  The
+    # cofactor of (v, v) is det(M_T), which also goes one digit lower.
+    subsets = []
+    for signs in product((0, 1), repeat=n - 1):
+        t = sorted((u, i) for i, (u, s) in enumerate(zip(others, signs)) if s)
+        tv = sorted([u for u, _ in t] + [v])
+        sign = (-1) ** tv.index(v) << (width * len(t))
+        cofactors = [
+            (r, (-1) ** j * sign, [(i, rr) for rr in tv if rr != r for _, i in t])
+            for j, r in enumerate(tv)
+        ]
+        subsets.append((len(t), cofactors))
+    bits = [1 << i for i in range(n - 1)]
+    butterflies = [(m, m | h) for h in bits for m in range(len(subsets)) if not m & h]
+
+    def leaf_keys(placed):
+        """Yield (cols, base, coef) per sign pattern of the placed columns:
+        cols holds them with those signs (cols[v] is None), and the key of
+        the matrix whose column v is x is base + coef . x."""
+        # vecs[T] = coef + [base - offset] of the terms on T.
+        vecs = []
+        for k, cofactors in subsets:
+            vec = [0] * (n + 1)
+            for r, sg, cells in cofactors:
+                vec[r] = sg * det_flat([placed[i][rr] for i, rr in cells], k)
+            vec[n] = vec[v] >> width
+            vecs.append(vec)
+        # Each pattern sums the terms over T with the sign (-1)^|T & negated|:
+        # a Walsh-Hadamard transform over the subset indices.
+        for lo, hi in butterflies:
+            a, b = vecs[lo], vecs[hi]
+            vecs[lo], vecs[hi] = list(map(add, a, b)), list(map(sub, a, b))
+        for cols, vec in zip(_sign_patterns(n, others, placed), vecs):
+            yield cols, offset + vec[n], vec[:n]
+
+    return leaf_keys
+
+
+def _make_leaf_values(search: _Search):
+    """Specialized evaluator for the leaves of ``search`` (see
+    ``_Search.leaves``): within one leaf and one sign pattern only the
+    column of the solved vertex v varies.
+
+    Edgeless graphs: both determinant layers depend only on the
+    characteristic polynomial (the commutator action is the full second
+    compound), so a matrix costs one packed key (``_make_charpoly_keys``)
+    and one lookup in this evaluator's memo; a miss runs ``reidemeister_number``.
+
+    Other graphs: det(1 - M1) is affine in column v, so it is one dot
     product with the cofactors of column v of 1 - M1.  Of 1 - M2 only the
     columns of the non-edges at v move; the others are filled once.
     """
+    p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
+    if p.graph.is_edgeless:
+        leaf_keys = _make_charpoly_keys(order, _charpoly_width(n, search.bound))
+        memo: dict[int, int | None] = {}
+        miss = object()
+
+        def charpoly_values(placed, solutions):
+            # The sorted solutions are closed under negation, so the j-th
+            # from the end is minus the j-th, and its key is 2 base - key.
+            half = solutions[: len(solutions) // 2]
+            for cols, base, coef in leaf_keys(placed):
+                keys = [base + sum(map(mul, x, coef)) for x in half]
+                keys += [2 * base - key for key in reversed(keys)]
+                values = list(map(memo.get, keys, repeat(miss)))
+                if miss in values:
+                    for key, x in zip(keys, solutions):
+                        if key not in memo:
+                            m = _column_matrix(cols[:v] + [x] + cols[v + 1 :])
+                            memo[key] = reidemeister_number(endo_from_matrix(p, m)).r.value
+                    values = [memo[key] for key in keys]
+                yield cols, values
+
+        return charpoly_values
     nonedges = p.nonedges
-    v = order[-1]
     others = order[:-1]
     # Cofactor r of column v: its sign and the cells of its minor, row-major.
     minors = [
@@ -455,16 +549,11 @@ def _make_leaf_values(p: Presentation, order):
         holds the placed columns with those signs (cols[v] is None), and
         values[j] is the finite Reidemeister number of the matrix whose
         column v is solutions[j], or None when it is infinite."""
-        oriented = [(w, tuple(-x for x in w)) for w in placed]
-        for signs in product((0, 1), repeat=n - 1):
-            cols: list = [None] * n
+        for cols in _sign_patterns(n, others, placed):
             acols: list = [None] * n
-            for u, o, s in zip(others, oriented, signs):
-                w = o[s]
-                cols[u] = w
-                col = [-x for x in w]
+            for u in others:
+                acols[u] = col = [-x for x in cols[u]]
                 col[u] += 1
-                acols[u] = col
             cof = [sg * det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
             if not any(cof):
                 # det(1 - M1) vanishes whatever column v is.
@@ -498,59 +587,6 @@ def _make_leaf_values(p: Presentation, order):
             yield cols, values
 
     return leaf_values
-
-
-def _charpoly_key(cols, n) -> tuple:
-    """Principal-minor sums of the matrix with the given columns (the
-    characteristic polynomial coefficients up to sign); an isospectrality key."""
-    if n == 4:
-        return _charpoly_key4(cols)
-    sums = [0] * n
-    for size in range(1, n + 1):
-        total = 0
-        for subset in combinations(range(n), size):
-            sub = [cols[c][r] for r in subset for c in subset]
-            total += det_flat(sub, size)
-        sums[size - 1] = total
-    return tuple(sums)
-
-
-def _charpoly_key4(cols) -> tuple:
-    c0, c1, c2, c3 = cols
-    a, e, i, m = c0
-    b, f, j, n_ = c1
-    c, g, k, o = c2
-    d, h, l, p = c3
-    s1 = a + f + k + p
-    s2 = (
-        (a * f - b * e)
-        + (a * k - c * i)
-        + (a * p - d * m)
-        + (f * k - g * j)
-        + (f * p - h * n_)
-        + (k * p - l * o)
-    )
-    s3 = (
-        a * (f * k - g * j) - b * (e * k - g * i) + c * (e * j - f * i)
-        + a * (f * p - h * n_) - b * (e * p - h * m) + d * (e * n_ - f * m)
-        + a * (k * p - l * o) - c * (i * p - l * m) + d * (i * o - k * m)
-        + f * (k * p - l * o) - g * (j * p - l * n_) + h * (j * o - k * n_)
-    )
-    ko_lp = k * p - l * o
-    jo_ln = j * p - l * n_
-    jn_ko = j * o - k * n_
-    ip_lm = i * p - l * m
-    io_km = i * o - k * m
-    in_jm = i * n_ - j * m
-    s4 = (
-        (a * f - b * e) * ko_lp
-        - (a * g - c * e) * jo_ln
-        + (a * h - d * e) * jn_ko
-        + (b * g - c * f) * ip_lm
-        - (b * h - d * f) * io_km
-        + (c * h - d * g) * in_jm
-    )
-    return (s1, s2, s3, s4)
 
 
 def _canonical(vectors) -> list[tuple[int, ...]]:
@@ -614,20 +650,22 @@ class _Search:
     and expanded at the leaves, which is lossless because every constraint
     in play is invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
-    matrix always has coprime maximal minors).  The node budget is charged
-    the pool size per placed column and 2 (2B+1)^(k-1) per last column on
-    k rows, whatever the solve enumerates.
+    matrix has coprime maximal minors), each a Laplace expansion along the
+    new column over terms built once.  The node budget is charged the pool
+    size per placed column and 2 (2B+1)^(k-1) per last column on k rows,
+    whatever the solve enumerates.  ``_make_leaf_values`` evaluates leaves.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
+        if bound < 1:
+            raise ValueError("bound must be >= 1")
         g = p.graph
         self.p = p
         self.n = g.n
         self.bound = bound
         self.nonedges = p.nonedges
         self.budget = budget
-        degs = g.degrees()
-        self.degs = degs
+        self.degs = degs = g.degrees()
         n = self.n
 
         self.filtration_rows = [
@@ -635,15 +673,15 @@ class _Search:
             for v in range(n)
         ]
 
+        # The report checks the components even where the search ignores them.
+        dec = connected_components(g)
         self.comp_of: list[int | None] = [None] * n
-        self.comp_rows: list[tuple[int, ...]] = []
+        for ci, comp in enumerate(dec.components):
+            for v in comp:
+                self.comp_of[v] = ci
+        self.comp_rows = [tuple(c) for c in dec.components]
         self.iso_targets: list[list[int]] = []
         if struct_prunes:
-            dec = connected_components(g)
-            for ci, comp in enumerate(dec.components):
-                for v in comp:
-                    self.comp_of[v] = ci
-            self.comp_rows = [tuple(c) for c in dec.components]
             subs = [induced_subgraph(g, c) for c in dec.components]
             self.iso_targets = [
                 [cj for cj in range(len(subs)) if is_isomorphic(subs[ci], subs[cj])]
@@ -652,6 +690,14 @@ class _Search:
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
         self._pools: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # Laplace expansion along the new column of each minor of k placed
+        # columns: per row mask, the terms (row r, mask without r, sign).
+        self._laplace: list[list] = [[] for _ in range(n)]
+        for k in range(n):
+            for rows in combinations(range(n), k):
+                mask = sum(1 << r for r in rows)
+                terms = [(r, mask ^ 1 << r, (-1) ** (i + k - 1)) for i, r in enumerate(rows)]
+                self._laplace[k].append((mask, terms))
 
         # Static placement order: smallest unconstrained pool first, so the
         # relation constraints bite early; the last placed column is solved.
@@ -696,15 +742,8 @@ class _Search:
         if n == 0:
             yield ()
             return
-        order = self.order
         for v, placed, solutions in self.leaves():
-            oriented = [(w, tuple(-x for x in w)) for w in placed]
-            patterns = []
-            for signs in product((0, 1), repeat=n - 1):
-                cols: list = [None] * n
-                for u, o, s in zip(order, oriented, signs):
-                    cols[u] = o[s]
-                patterns.append(cols)
+            patterns = list(_sign_patterns(n, self.order, placed))
             for cvec in solutions:
                 for cols in patterns:
                     cols[v] = cvec
@@ -713,9 +752,9 @@ class _Search:
     def leaves(self):
         """Yield one (v, placed, solutions) per search leaf: v is the solved
         vertex, placed the other columns in placement order with canonical
-        signs, and solutions the sorted choices for column v.  The leaf's
-        matrices are every solution combined with every sign pattern of the
-        placed columns."""
+        signs, and solutions the sorted choices for column v, closed under
+        negation.  The leaf's matrices are every solution combined with
+        every sign pattern of the placed columns."""
         n = self.n
         if n == 0:
             return
@@ -723,31 +762,20 @@ class _Search:
         # minors[k][mask] = det of the placed columns on the rows in mask.
         minor_stack: list[list[int]] = [[0] * (1 << n)]
         minor_stack[0][0] = 1
-        self._level_masks = [
-            [sum(1 << r for r in c) for c in combinations(range(n), k)] for k in range(n)
-        ]
         target: list[int | None] = [None] * len(self.comp_rows)
         used: set[int] = set()
         yield from self._place(0, placed, minor_stack, target, used)
 
     def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
         """Minors of k placed columns from those of k-1, plus their gcd."""
-        n = self.n
-        table = [0] * (1 << n)
+        table = [0] * (1 << self.n)
         g = 0
-        for mask in self._level_masks[k]:
+        for mask, terms in self._laplace[k]:
             acc = 0
-            rest = mask
-            idx = 0
-            while rest:
-                low = rest & -rest
-                r = low.bit_length() - 1
+            for r, rest, sign in terms:
                 c = col[r]
                 if c:
-                    term = c * minors_prev[mask ^ low]
-                    acc += term if (idx + k - 1) % 2 == 0 else -term
-                rest ^= low
-                idx += 1
+                    acc += sign * c * minors_prev[rest]
             table[mask] = acc
             g = gcd(g, acc)
         return table, g
@@ -833,10 +861,7 @@ def _automorphism_columns(
     """Stream of column tuples (original vertex order) of every
     relation-preserving matrix with entries in [-bound, bound] and
     determinant +1 or -1."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
-    return search.run()
+    return _Search(p, bound, struct_prunes, _Budget(node_budget)).run()
 
 
 def _column_matrix(cols) -> IntMatrix:
@@ -960,8 +985,9 @@ def compute_spectrum_report(
     """
     if bound is None:
         bound = default_bound(g)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    p = Presentation.of(g)
+    n = p.n
+    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     rule = detect_r_infinity(g)
     if rule is not None:
         classification = Classification("r_infinity_rule", rule=rule)
@@ -972,42 +998,15 @@ def compute_spectrum_report(
         else:
             classification = Classification("search_only")
 
-    p = Presentation.of(g)
-    n = p.n
-    degs = g.degrees()
-    dec = connected_components(g)
-    comp_of: list[int | None] = [None] * n
-    for ci, comp in enumerate(dec.components):
-        for v in comp:
-            comp_of[v] = ci
-    n_comps = len(dec.components)
+    degs, comp_of, n_comps = search.degs, search.comp_of, len(search.comp_rows)
     check_structure = n_comps > 1 or len(set(degs)) > 1
-
-    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
-    if g.is_edgeless and n >= 2:
-        # Both determinant layers are symmetric functions of the eigenvalues
-        # here (the commutator action is the full second compound), so the
-        # value only depends on the characteristic polynomial.
-        cache: dict[tuple, int | None] = {}
-        sentinel = object()
-        for cols in search.run():
-            key = _charpoly_key(cols, n)
-            value = cache.get(key, sentinel)
-            if value is sentinel:
-                value = reidemeister_number(endo_from_matrix(p, _column_matrix(cols))).r.value
-                cache[key] = value
-            if value is None:
-                continue
-            best = observed.get(value)
-            if best is None or cols < best:
-                observed[value] = cols
-    elif n == 0:
+    if n == 0:
         # The trivial group: its one automorphism has one twisted class.
         observed[1] = ()
     else:
-        leaf_values = _make_leaf_values(p, search.order)
+        leaf_values = _make_leaf_values(search)
         for v, placed, solutions in search.leaves():
             if check_structure:
                 # Column signs never change a support, so one sign pattern

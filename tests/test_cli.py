@@ -188,6 +188,10 @@ class TestSearch:
         err = usage_error(capsys, "search", write("g.json", N22), "--bound", "0")
         assert "error: argument --bound: must be >= 1, got 0" in err
 
+    def test_negative_budget_exit_2(self, write, capsys):
+        err = usage_error(capsys, "search", write("g.json", N22), "--budget", "-1")
+        assert "error: argument --budget: must be >= 0, got -1" in err
+
     def test_witness_roundtrip(self, write, capsys):
         from nilgraph.exactlin import ExtNat, IntMatrix
         from nilgraph.graphs import graph_from_json

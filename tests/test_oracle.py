@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nilgraph.exactlin import INFINITY, ExtNat, IntMatrix, abs_inf, det
-from nilgraph.graphs import Graph, complete_graph, empty_graph
+from nilgraph.graphs import Graph, complete_graph, cycle_graph, empty_graph
 from nilgraph.morphism import endo_from_matrix, make_endo, reidemeister_number
 from nilgraph.nilgroup import GroupElement, Presentation
 from nilgraph.oracle import (
@@ -12,6 +12,7 @@ from nilgraph.oracle import (
     abelian_class_count,
     count_twisted_classes,
 )
+from nilgraph.spectra import enumerate_automorphisms
 
 N22 = Presentation.of(empty_graph(2))
 K2 = Presentation.of(complete_graph(2))
@@ -84,6 +85,31 @@ class TestCountTwistedClasses:
         assert r == ExtNat(2)
         assert count_twisted_classes(FiniteQuotient(g3, 4), e) == 2
         assert count_twisted_classes(FiniteQuotient(g3, 8), e) == 2
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(4),
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),
+    ],
+    ids=["C4", "two_edges", "paw"],
+)
+def test_four_vertex_oracle_agreement(g):
+    """The first three automorphisms at bound 1 with finite R and a quotient
+    of at most 10^6 elements at m = 2R: the orbit count equals R."""
+    p = Presentation.of(g)
+    pairs = []
+    for e in enumerate_automorphisms(p, 1):
+        r = reidemeister_number(e).r
+        if not r.is_infinite and (2 * r.value) ** (p.n + p.N) <= 10**6:
+            pairs.append((e, r.value))
+            if len(pairs) == 3:
+                break
+    assert len(pairs) == 3
+    for e, r in pairs:
+        assert count_twisted_classes(FiniteQuotient(p, 2 * r), e) == r, e.vertex_matrix.to_rows()
 
 
 class TestAbelianClassCount:

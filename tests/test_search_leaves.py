@@ -4,14 +4,17 @@ recorded reports of the evaluation-heavy searches, and the consistency
 guards of the search."""
 
 import json
-from itertools import islice
+from itertools import combinations, islice
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
-from nilgraph.exactlin import IntMatrix
+from nilgraph.exactlin import IntMatrix, det_flat
 from nilgraph.graphs import Graph, complete_graph, connected_components, empty_graph, path_graph
 from nilgraph.morphism import endo_from_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
@@ -19,7 +22,9 @@ from nilgraph.spectra import (
     Z1,
     SpectrumConsistencyError,
     _Budget,
+    _charpoly_width,
     _check_block_structure,
+    _make_charpoly_keys,
     _make_leaf_values,
     _Search,
     compute_spectrum_report,
@@ -66,18 +71,25 @@ class TestEmptyAndSingleVertex:
         assert leaves == [(0, (), [(-1,), (1,)])]
 
 
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.key)
-def test_leaf_evaluator_matches_reidemeister_number(entry):
-    """The first leaves of every catalog class at bound 1: the leaf's
-    matrices are its slice of the matrix stream, and each value is the exact
-    Reidemeister number, None where that is infinite."""
-    g = entry.graph
+LEAF_CASES = [pytest.param(e.graph, 1, 20, id=e.key) for e in CATALOG] + [
+    # Every leaf of N32 at bound 2 and a five-vertex edgeless graph, which
+    # no golden report covers, for the packed characteristic-polynomial key.
+    pytest.param(empty_graph(3), 2, None, id="N32-B2-all"),
+    pytest.param(empty_graph(5), 1, 20, id="N52"),
+]
+
+
+@pytest.mark.parametrize("g, bound, limit", LEAF_CASES)
+def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit):
+    """The first leaves of every catalog class at bound 1 (and the cases
+    above): the leaf's matrices are its slice of the matrix stream, and each
+    value is the exact Reidemeister number, None where that is infinite."""
     p = Presentation.of(g)
-    search = _search(g, 1)
-    leaf_values = _make_leaf_values(p, search.order)
-    stream = _search(g, 1).run()
+    search = _search(g, bound)
+    leaf_values = _make_leaf_values(search)
+    stream = _search(g, bound).run()
     checked = 0
-    for leaf in islice(search.leaves(), 20):
+    for leaf in islice(search.leaves(), limit):
         # A leaf holds each solution with each sign pattern of n - 1 columns.
         batch = list(islice(stream, len(leaf[2]) << (g.n - 1)))
         pairs = list(_leaf_matrices(leaf_values, leaf))
@@ -88,6 +100,64 @@ def test_leaf_evaluator_matches_reidemeister_number(entry):
             assert reidemeister_number(endo_from_matrix(p, m)).r.value == value, cols
             checked += 1
     assert checked > 0
+    if limit is None:
+        assert next(stream, None) is None
+
+
+@st.composite
+def _bounded_matrices(draw, n=None, bound=None):
+    """(bound, columns, placement order) of an n x n matrix, n in 2..5, with
+    entries in [-bound, bound], bound in 1..3; half the draws put +-bound in
+    every entry."""
+    n = draw(st.integers(2, 5)) if n is None else n
+    bound = draw(st.integers(1, 3)) if bound is None else bound
+    corner = draw(st.booleans())
+    entry = st.sampled_from((-bound, bound)) if corner else st.integers(-bound, bound)
+    cols = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+    return bound, cols, draw(st.permutations(range(n)))
+
+
+def _principal_minor_sums(cols):
+    n = len(cols)
+    return [
+        sum(det_flat([cols[c][r] for r in t for c in t], k) for t in combinations(range(n), k))
+        for k in range(1, n + 1)
+    ]
+
+
+def _packed_keys(bound, cols, order):
+    """(key, principal-minor sums) of every sign pattern of the placed
+    columns of ``cols``, as the edgeless evaluator builds the keys."""
+    n = len(cols)
+    width = _charpoly_width(n, bound)
+    v = order[-1]
+    leaf_keys = _make_charpoly_keys(order, width)
+    out = []
+    for signed, base, coef in leaf_keys([cols[u] for u in order[:-1]]):
+        assert signed[v] is None
+        signed[v] = cols[v]
+        out.append((base + sum(map(mul, cols[v], coef)), _principal_minor_sums(signed)))
+    return width, out
+
+
+@given(st.data())
+def test_packed_charpoly_key_decodes_to_the_principal_minor_sums(data):
+    """The key of each sign pattern holds E_1..E_n in digits of the width,
+    offset by half a digit; so keys are equal exactly when the sums are."""
+    bound, cols, order = data.draw(_bounded_matrices())
+    n = len(cols)
+    width, keyed = _packed_keys(bound, cols, order)
+    assert len(keyed) == 1 << (n - 1)
+    half, digit = 1 << (width - 1), (1 << width) - 1
+    for key, sums in keyed:
+        assert key >> (width * n) == 0
+        assert [(key >> (width * k) & digit) - half for k in range(n)] == sums
+    # The transpose has the same sums, and so the same key.
+    transpose = [tuple(c[i] for c in cols) for i in range(n)]
+    assert _packed_keys(bound, transpose, order)[1][0] == keyed[0]
+    _, other, other_order = data.draw(_bounded_matrices(n, bound))
+    (key_a, sums_a), (key_b, sums_b) = keyed[0], _packed_keys(bound, other, other_order)[1][0]
+    assert (key_a == key_b) == (sums_a == sums_b)
 
 
 def test_dense_searches_match_the_recorded_reports(reports):
