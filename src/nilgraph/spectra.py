@@ -11,7 +11,7 @@ always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, islice, permutations, product, repeat
 from math import factorial, gcd, isqrt
 from operator import add, itemgetter, mul, neg, sub
 
@@ -487,10 +487,12 @@ def _make_charpoly_keys(order, width: int):
     return leaf_keys
 
 
-def _make_leaf_values(search: _Search):
+def _make_leaf_values(search: _Search, leaders=None):
     """Specialized evaluator for the leaves of ``search`` (see
     ``_Search.leaves``): within one leaf and one sign pattern only the
-    column of the solved vertex v varies.
+    column of the solved vertex v varies.  With ``leaders`` (a set of
+    columns, see ``_leader_columns``; vertex 0 must not be the solved
+    vertex) the sign patterns whose column 0 is not a leader are skipped.
 
     Edgeless graphs: both determinant layers depend only on the
     characteristic polynomial (the commutator action is the full second
@@ -513,6 +515,8 @@ def _make_leaf_values(search: _Search):
             # from the end is minus the j-th, and its key is 2 base - key.
             half = solutions[: len(solutions) // 2]
             for cols, base, coef in leaf_keys(placed):
+                if leaders is not None and cols[0] not in leaders:
+                    continue
                 keys = [base + sum(map(mul, x, coef)) for x in half]
                 keys += [2 * base - key for key in reversed(keys)]
                 values = list(map(memo.get, keys, repeat(miss)))
@@ -550,6 +554,8 @@ def _make_leaf_values(search: _Search):
         values[j] is the finite Reidemeister number of the matrix whose
         column v is solutions[j], or None when it is infinite."""
         for cols in _sign_patterns(n, others, placed):
+            if leaders is not None and cols[0] not in leaders:
+                continue
             acols: list = [None] * n
             for u in others:
                 acols[u] = col = [-x for x in cols[u]]
@@ -595,6 +601,27 @@ def _canonical(vectors) -> list[tuple[int, ...]]:
     out = [x for x in vectors if gcd(*x) == 1 and next(c for c in x if c) > 0]
     out.sort()
     return out
+
+
+def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
+    """The leader columns of vertex 0: the columns c of the box that are
+    lexicographically at most each of their images under the signed
+    automorphisms psi = P_pi D_s of the graph with pi(0) = 0.  Column 0 of
+    psi X psi^-1 holds s_0 s_i X[i][0] in row pi(i), so the leaders are the
+    c with c[i] <= 0 for every i >= 1 and c <= c o pi for every pi in
+    Stab_Aut(0).  The stabilizer is found among all (n-1)! permutations
+    only while those are at most 5040; beyond that the sign condition alone
+    is used, which is the leader condition of the subgroup pi = id."""
+    n = g.n
+    stabilizer = []
+    if factorial(n - 1) <= 5040:
+        # The first permutation of a sorted range is the identity.
+        for rest in islice(permutations(range(1, n)), 1, None):
+            pi = (0, *rest)
+            if all(g.has_edge(pi[a], pi[b]) for a, b in g.edges):
+                stabilizer.append(itemgetter(*pi))
+    columns = product(range(-bound, bound + 1), *[range(-bound, 1)] * (n - 1))
+    return {c for c in columns if all(c <= image(c) for image in stabilizer)}
 
 
 def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
@@ -654,6 +681,16 @@ class _Search:
     new column over terms built once.  The node budget is charged the pool
     size per placed column and 2 (2B+1)^(k-1) per last column on k rows,
     whatever the solve enumerates.  ``_make_leaf_values`` evaluates leaves.
+
+    Symmetry: let psi = P_pi D_s be a signed permutation with pi in
+    Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
+    itself (it keeps the box, the determinant, relation preservation, the
+    degree filtration and the components) and keeps both factors of R,
+    since psi preserves the edge lattice.  So the lexicographically smallest
+    matrix with a given value (columns compared in vertex order) is the
+    smallest of its orbit, and its column 0 is a leader under the psi with
+    pi(0) = 0 (``_leader_columns``).  ``leaves`` can drop the other columns
+    of vertex 0; ``run`` streams every matrix.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
@@ -749,22 +786,25 @@ class _Search:
                     cols[v] = cvec
                     yield tuple(cols)
 
-    def leaves(self):
+    def leaves(self, leaders=None):
         """Yield one (v, placed, solutions) per search leaf: v is the solved
         vertex, placed the other columns in placement order with canonical
         signs, and solutions the sorted choices for column v, closed under
         negation.  The leaf's matrices are every solution combined with
-        every sign pattern of the placed columns."""
+        every sign pattern of the placed columns.  With ``leaders`` (a set
+        of columns, see ``_leader_columns``), a placed column of vertex 0 is
+        kept only if it or its negation is a leader."""
         n = self.n
         if n == 0:
             return
+        roots = None if leaders is None else leaders | {tuple(map(neg, c)) for c in leaders}
         placed: list[tuple[int, ...]] = []
         # minors[k][mask] = det of the placed columns on the rows in mask.
         minor_stack: list[list[int]] = [[0] * (1 << n)]
         minor_stack[0][0] = 1
         target: list[int | None] = [None] * len(self.comp_rows)
         used: set[int] = set()
-        yield from self._place(0, placed, minor_stack, target, used)
+        yield from self._place(0, placed, minor_stack, target, used, roots)
 
     def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
         """Minors of k placed columns from those of k-1, plus their gcd."""
@@ -780,7 +820,7 @@ class _Search:
             g = gcd(g, acc)
         return table, g
 
-    def _place(self, depth: int, placed, minor_stack, target, used):
+    def _place(self, depth: int, placed, minor_stack, target, used, roots):
         n = self.n
         v = self.order[depth]
         last = depth == n - 1
@@ -798,13 +838,15 @@ class _Search:
                 system = self._relation_system(depth, rows, placed)
                 if system:
                     pool = _canonical(_box_solutions(system, rows, n, self.bound))
+                if v == 0 and roots is not None:
+                    pool = [vec for vec in pool if vec in roots]
                 for vec in pool:
                     table, g = self._extend_minors(minor_stack[-1], vec, depth + 1)
                     if g != 1:
                         continue
                     placed.append(vec)
                     minor_stack.append(table)
-                    yield from self._place(depth + 1, placed, minor_stack, target, used)
+                    yield from self._place(depth + 1, placed, minor_stack, target, used, roots)
                     minor_stack.pop()
                     placed.pop()
             if choice is not None:
@@ -982,6 +1024,14 @@ def compute_spectrum_report(
     Every observed value carries the lexicographically smallest witness
     matrix, re-verified against the closed form when one is known; a
     violation raises :class:`SpectrumConsistencyError`.
+
+    Only matrices whose column 0 is a leader are evaluated: conjugating by
+    a signed automorphism P_pi D_s with pi(0) = 0 keeps R and maps column 0
+    to the column with s_0 s_i c[i] in row pi(i), and the smallest matrix
+    with a given value is the smallest of its orbit, so its column 0 is at
+    most each such image (see ``_Search`` and ``_leader_columns``).  That
+    leaves the observed values and the witnesses unchanged.  When vertex 0
+    is the solved vertex of the search, nothing is pruned.
     """
     if bound is None:
         bound = default_bound(g)
@@ -1006,8 +1056,9 @@ def compute_spectrum_report(
         # The trivial group: its one automorphism has one twisted class.
         observed[1] = ()
     else:
-        leaf_values = _make_leaf_values(search)
-        for v, placed, solutions in search.leaves():
+        leaders = _leader_columns(g, bound) if search.order[-1] != 0 else None
+        leaf_values = _make_leaf_values(search, leaders)
+        for v, placed, solutions in search.leaves(leaders):
             if check_structure:
                 # Column signs never change a support, so one sign pattern
                 # covers the whole leaf: the placed columns are checked once,
@@ -1036,7 +1087,7 @@ def compute_spectrum_report(
     }
 
     if classification.kind == "closed_form":
-        for value in observed:
+        for value in sorted(observed):
             if not classification.form.contains(value):
                 raise SpectrumConsistencyError(
                     f"search realized {value}, outside {classification.form.render()}"

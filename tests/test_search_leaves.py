@@ -248,6 +248,22 @@ class TestReportGuards:
         with pytest.raises(SpectrumConsistencyError, match="search realized 1, outside"):
             compute_spectrum_report(complete_graph(2), 1)
 
+    def test_smallest_value_outside_closed_form(self, monkeypatch):
+        """The check reads the values in sorted order, not in the order the
+        search meets them (4 first): N22 realizes 2 and 4 at bound 2, the
+        form leaves out both, and the message names 2."""
+
+        class Without(spectra.SpectrumForm):
+            def contains(self, v):
+                return v not in (2, 4)
+
+            def render(self):
+                return "N0 - {2, 4}"
+
+        monkeypatch.setattr(spectra, "spectrum_by_decomposition", lambda g: Without())
+        with pytest.raises(SpectrumConsistencyError, match=r"search realized 2, outside N0 - \{2, 4\}$"):
+            compute_spectrum_report(empty_graph(2), 2)
+
     def test_rule_with_finite_values(self, monkeypatch):
         monkeypatch.setattr(spectra, "detect_r_infinity", lambda g: "Fake")
         with pytest.raises(SpectrumConsistencyError, match=r"rule Fake fired but finite values \[2\]"):
