@@ -3,9 +3,7 @@
 Everything here is carried out over arbitrary-precision Python integers;
 no floating point is used anywhere.  This module supplies the arithmetic
 substrate for the Reidemeister-number computations: determinants and
-row echelon forms (fraction-free), Smith normal form, kernel ranks,
-Kronecker products and the closed-form determinant of
-``1 - eps * (A (x) B)`` for 2x2 unimodular factors.
+row echelon forms (fraction-free), Smith normal form and kernel ranks.
 """
 
 from __future__ import annotations
@@ -321,35 +319,3 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         top += 1
     diag.extend([0] * (k - len(diag)))
     return SmithForm(tuple(diag), sum(1 for d in diag if d))
-
-
-def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker (tensor) product, (a.rows*b.rows) x (a.cols*b.cols)."""
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for p in range(b.rows):
-            brow = b.row(p)
-            for j in range(a.cols):
-                av = arow[j]
-                out.extend(av * bv for bv in brow)
-    return IntMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
-
-
-def tensor_det_identity(trace_a: int, trace_b: int, det_a: int, det_b: int, sign: int) -> int:
-    """det(1_4 - sign * (A (x) B)) for A, B in GL_2(Z), from traces and determinants.
-
-    Four closed-form cases, split on (det_a, det_b); the mixed-determinant
-    cases do not depend on ``sign``.
-    """
-    if det_a not in (-1, 1) or det_b not in (-1, 1):
-        raise ValueError("det_a and det_b must be +1 or -1")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    if det_a == 1 and det_b == 1:
-        return (trace_b - sign * trace_a) ** 2
-    if det_a == -1 and det_b == -1:
-        return -((trace_b + sign * trace_a) ** 2)
-    if det_a == -1 and det_b == 1:
-        return -(trace_b**2 - trace_a**2 - 4)
-    return trace_b**2 - trace_a**2 + 4

@@ -11,9 +11,9 @@ always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations, product, repeat
+from itertools import combinations, count, permutations, product, repeat
 from math import factorial, gcd, isqrt
-from operator import add, itemgetter, mul, neg, sub
+from operator import itemgetter, mul, neg
 
 from .exactlin import ExtNat, IntMatrix, det_flat, echelon
 from .graphs import (
@@ -62,16 +62,73 @@ def _is_positive_cube(w: int) -> bool:
     return w >= 1 and _icbrt(w) ** 3 == w
 
 
-def _divisors(v: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            small.append(d)
-            if d != v // d:
-                large.append(v // d)
+# Miller-Rabin with these bases decides primality for every v < 3.3 * 10^24
+# (Sorenson and Webster 2015); above that it is a strong probable-prime test.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(v: int) -> bool:
+    """Miller-Rabin for v with no prime factor below 1000."""
+    d, s = v - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, v)
+        if x in (1, v - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % v
+            if x == v - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(v: int) -> int:
+    """A proper divisor of the composite v, which has no prime factor below
+    1000, by Pollard's rho."""
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % v
+            y = (y * y + c) % v
+            y = (y * y + c) % v
+            g = gcd(x - y, v)
+        if g != v:
+            return g
+
+
+def _prime_factors(v: int) -> dict[int, int]:
+    """{prime: exponent} of v >= 1: trial division below 1000, then
+    Miller-Rabin and Pollard's rho on what is left."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= v and d < 1000:
+        while v % d == 0:
+            out[d] = out.get(d, 0) + 1
+            v //= d
         d += 1
-    return small + large[::-1]
+    stack = [v] if v > 1 else []
+    while stack:
+        w = stack.pop()
+        # No prime below d divides w, so w < d^2 is prime.
+        if w < d * d or _is_prime(w):
+            out[w] = out.get(w, 0) + 1
+        else:
+            f = _split(w)
+            stack += [f, w // f]
+    return out
+
+
+def _divisors(v: int) -> list[int]:
+    """The positive divisors of v >= 1, ascending."""
+    divs = [1]
+    for p, e in _prime_factors(v).items():
+        divs += [d * p**k for k in range(1, e + 1) for d in divs]
+    divs.sort()
+    return divs
 
 
 def _squares_family(w: int) -> bool:
@@ -461,38 +518,41 @@ def _make_charpoly_keys(order, width: int):
             for j, r in enumerate(tv)
         ]
         subsets.append((len(t), cofactors))
-    bits = [1 << i for i in range(n - 1)]
-    butterflies = [(m, m | h) for h in bits for m in range(len(subsets)) if not m & h]
+    # Pattern p sums the terms over T with the sign (-1)^|T & negated|, a row
+    # of the Walsh-Hadamard matrix over the subset indices.
+    hadamard = [[(-1) ** (p & t).bit_count() for t in range(len(subsets))] for p in range(len(subsets))]
 
-    def leaf_keys(placed):
-        """Yield (cols, base, coef) per sign pattern of the placed columns:
+    def leaf_keys(placed, patterns=None):
+        """Yield (cols, base, coef) per sign pattern of the placed columns
+        (all of them, or the (index, cols) pairs of ``patterns``, where
+        index is the pattern's place in the order of ``_sign_patterns``):
         cols holds them with those signs (cols[v] is None), and the key of
         the matrix whose column v is x is base + coef . x."""
-        # vecs[T] = coef + [base - offset] of the terms on T.
-        vecs = []
+        # terms[T] = coef + [base - offset] of the terms on T.
+        terms = []
         for k, cofactors in subsets:
             vec = [0] * (n + 1)
             for r, sg, cells in cofactors:
                 vec[r] = sg * det_flat([placed[i][rr] for i, rr in cells], k)
             vec[n] = vec[v] >> width
-            vecs.append(vec)
-        # Each pattern sums the terms over T with the sign (-1)^|T & negated|:
-        # a Walsh-Hadamard transform over the subset indices.
-        for lo, hi in butterflies:
-            a, b = vecs[lo], vecs[hi]
-            vecs[lo], vecs[hi] = list(map(add, a, b)), list(map(sub, a, b))
-        for cols, vec in zip(_sign_patterns(n, others, placed), vecs):
+            terms.append(vec)
+        columns = list(zip(*terms))
+        if patterns is None:
+            patterns = enumerate(_sign_patterns(n, others, placed))
+        for index, cols in patterns:
+            row = hadamard[index]
+            vec = [sum(map(mul, row, column)) for column in columns]
             yield cols, offset + vec[n], vec[:n]
 
     return leaf_keys
 
 
-def _make_leaf_values(search: _Search, leaders=None):
+def _make_leaf_values(search: _Search):
     """Specialized evaluator for the leaves of ``search`` (see
     ``_Search.leaves``): within one leaf and one sign pattern only the
-    column of the solved vertex v varies.  With ``leaders`` (a set of
-    columns, see ``_leader_columns``; vertex 0 must not be the solved
-    vertex) the sign patterns whose column 0 is not a leader are skipped.
+    column of the solved vertex v varies.  It evaluates every sign pattern
+    of a leaf, or only the (index, cols) pairs it is given (see
+    ``_Search.leaves``).
 
     Edgeless graphs: both determinant layers depend only on the
     characteristic polynomial (the commutator action is the full second
@@ -510,13 +570,11 @@ def _make_leaf_values(search: _Search, leaders=None):
         memo: dict[int, int | None] = {}
         miss = object()
 
-        def charpoly_values(placed, solutions):
+        def charpoly_values(placed, solutions, patterns=None):
             # The sorted solutions are closed under negation, so the j-th
             # from the end is minus the j-th, and its key is 2 base - key.
             half = solutions[: len(solutions) // 2]
-            for cols, base, coef in leaf_keys(placed):
-                if leaders is not None and cols[0] not in leaders:
-                    continue
+            for cols, base, coef in leaf_keys(placed, patterns):
                 keys = [base + sum(map(mul, x, coef)) for x in half]
                 keys += [2 * base - key for key in reversed(keys)]
                 values = list(map(memo.get, keys, repeat(miss)))
@@ -548,14 +606,14 @@ def _make_leaf_values(search: _Search, leaders=None):
         if v in (c, d)
     ]
 
-    def leaf_values(placed, solutions):
+    def leaf_values(placed, solutions, patterns=None):
         """Yield (cols, values) per sign pattern of the placed columns: cols
         holds the placed columns with those signs (cols[v] is None), and
         values[j] is the finite Reidemeister number of the matrix whose
         column v is solutions[j], or None when it is infinite."""
-        for cols in _sign_patterns(n, others, placed):
-            if leaders is not None and cols[0] not in leaders:
-                continue
+        if patterns is None:
+            patterns = enumerate(_sign_patterns(n, others, placed))
+        for _, cols in patterns:
             acols: list = [None] * n
             for u in others:
                 acols[u] = col = [-x for x in cols[u]]
@@ -603,25 +661,172 @@ def _canonical(vectors) -> list[tuple[int, ...]]:
     return out
 
 
+# Aut(graph) is searched among all n! vertex permutations only up to this
+# many; above it the group of signs (pi = id) is used alone.
+_PERMUTATION_CAP = 5040
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex permutations pi (vertex i goes to pi[i]) that map the
+    edges onto the edges, or only the identity when n! exceeds the cap."""
+    if factorial(g.n) > _PERMUTATION_CAP:
+        return [tuple(range(g.n))]
+    return [
+        pi
+        for pi in permutations(range(g.n))
+        if all(g.has_edge(pi[a], pi[b]) for a, b in g.edges)
+    ]
+
+
+class _SignedGroup:
+    """The signed automorphisms psi = P_pi D_s of a graph (pi in Aut(graph),
+    see ``_automorphisms``; s a sign vector, up to a common sign) acting on
+    the matrices X of a search by conjugation.  Entry (i, j) of X goes to
+    (pi(i), pi(j)) with the sign s_i s_j, so column k of psi X psi^-1 is
+    column w = pi^-1(k) of X with s_w s_i X[i][w] moved to row pi(i).  A
+    matrix is compared with its images column by column in vertex order,
+    as the report compares witnesses, and is a *leader* when no image is
+    smaller.
+
+    One comparison covers one pi and every sign vector at once.  It walks
+    the entries in order and keeps the sign classes s_i = par[i] s_root[i]
+    that the ties so far force.  An entry whose sign s_w s_i is still free
+    takes -|e| or |e|: some image is smaller if -|e| is below X's entry, no
+    image ties beyond it if -|e| is above, and a tie forces the sign.
+
+    Column 0 decides most of the group: per source vertex u and column c,
+    a table holds the smallest column-0 image of c over the pi with
+    pi(u) = 0 and all signs (row 0 holds c[u], row pi(i) at best -|c[i]|)
+    and the pi that reach it.  Only those pi are compared on further
+    columns.  The tables are keyed by (u, c), not by group element, and
+    live as long as this object.
+    """
+
+    def __init__(self, g: Graph):
+        n = self.n = g.n
+        # Inverse permutations q = pi^-1, grouped by the source q[0] of column 0.
+        inverses = [tuple(sorted(range(n), key=pi.__getitem__)) for pi in _automorphisms(g)]
+        self._to_zero = [[q for q in inverses if q[0] == u] for u in range(n)]
+        self._tables: dict[tuple, tuple] = {}
+
+    def _lowest(self, u: int, c: tuple[int, ...]) -> tuple:
+        """(low, tied): the smallest column-0 image of column c of source u,
+        and the q = pi^-1 with q[0] = u that reach it."""
+        hit = self._tables.get((u, c))
+        if hit is None:
+            mags = [-abs(x) for x in c]
+            mags[u] = c[u]
+            images = [(tuple(mags[i] for i in q), q) for q in self._to_zero[u]]
+            low = min(images)[0]
+            hit = self._tables[(u, c)] = low, [q for image, q in images if image == low]
+        return hit
+
+    def leads(self, c: tuple[int, ...]) -> bool:
+        """Column c in position 0 is at most each of its images under the
+        psi with pi(0) = 0."""
+        return self._lowest(0, c)[0] == c
+
+    def _smaller(self, cols, q, root, par) -> bool:
+        """Some image under q = pi^-1, with signs in the classes root, par,
+        is smaller than the matrix with columns ``cols``, decided on columns
+        1, 2, ... before one that is None enters the comparison."""
+        n = self.n
+        copied = False
+        for k in range(1, n):
+            w = q[k]
+            src, dst = cols[w], cols[k]
+            if src is None or dst is None:
+                return False
+            rw, pw = root[w], par[w]
+            for r in range(n):
+                i = q[r]
+                e, x = src[i], dst[r]
+                if not e:
+                    y = 0
+                elif root[i] == rw:
+                    y = pw * par[i] * e
+                else:
+                    y = -abs(e)
+                    if y == x:
+                        # A tie forces s_w s_i = -sign(e): merge the class of
+                        # i into that of w.
+                        if not copied:
+                            root, par, copied = root[:], par[:], True
+                        ri, f = root[i], (pw if e < 0 else -pw) * par[i]
+                        for j in range(n):
+                            if root[j] == ri:
+                                root[j] = rw
+                                par[j] *= f
+                        continue
+                if y != x:
+                    return y < x
+        return False
+
+    def patterns(self, order, placed) -> list[tuple[int, list]]:
+        """The sign patterns of a leaf's placed columns (in placement order
+        ``order``, the solved vertex last) that no image makes smaller
+        before the solved column enters the comparison, as (index, cols)
+        pairs: the pattern's place in the order of ``_sign_patterns`` and
+        its columns, None at the solved vertex."""
+        n, others = self.n, order[:-1]
+        if 0 not in others:
+            # Column 0 is the solved column: no comparison is decided.
+            return list(enumerate(_sign_patterns(n, others, placed)))
+        out = []
+        signed = [(u, c, tuple(map(neg, c))) for u, c in zip(others, placed)]
+        for x0 in signed[others.index(0)][1:]:
+            if not self.leads(x0):
+                continue
+            # Per placed column u, the signs whose column-0 images are not
+            # below x0.  A tie leaves the pi that reach it to further
+            # columns, with the sign classes it forces: s_i = -sign(c[i]) s_u.
+            choices = []
+            for u, *pair in signed:
+                options = []
+                for bit, col in enumerate(pair):
+                    if not self._to_zero[u]:
+                        options.append((bit, col, None))
+                        continue
+                    low, tied = self._lowest(u, col)
+                    if low < x0 or u == 0 and col != x0:
+                        continue
+                    tie = None
+                    if low == x0:
+                        root = [u if x else i for i, x in enumerate(col)]
+                        par = [-1 if x > 0 else 1 for x in col]
+                        root[u], par[u] = u, 1
+                        tie = tied, root, par
+                    options.append((bit, col, tie))
+                if not options:
+                    break
+                choices.append(options)
+            if len(choices) < len(signed):
+                continue
+            for combo in product(*choices):
+                cols: list = [None] * n
+                index = 0
+                ties = []
+                for u, (bit, col, tie) in zip(others, combo):
+                    cols[u] = col
+                    index = 2 * index + bit
+                    if tie is not None:
+                        ties.append(tie)
+                if not any(
+                    self._smaller(cols, q, root, par) for tied, root, par in ties for q in tied
+                ):
+                    out.append((index, cols))
+        return out
+
+
 def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
-    """The leader columns of vertex 0: the columns c of the box that are
-    lexicographically at most each of their images under the signed
-    automorphisms psi = P_pi D_s of the graph with pi(0) = 0.  Column 0 of
-    psi X psi^-1 holds s_0 s_i X[i][0] in row pi(i), so the leaders are the
-    c with c[i] <= 0 for every i >= 1 and c <= c o pi for every pi in
-    Stab_Aut(0).  The stabilizer is found among all (n-1)! permutations
-    only while those are at most 5040; beyond that the sign condition alone
-    is used, which is the leader condition of the subgroup pi = id."""
-    n = g.n
-    stabilizer = []
-    if factorial(n - 1) <= 5040:
-        # The first permutation of a sorted range is the identity.
-        for rest in islice(permutations(range(1, n)), 1, None):
-            pi = (0, *rest)
-            if all(g.has_edge(pi[a], pi[b]) for a, b in g.edges):
-                stabilizer.append(itemgetter(*pi))
-    columns = product(range(-bound, bound + 1), *[range(-bound, 1)] * (n - 1))
-    return {c for c in columns if all(c <= image(c) for image in stabilizer)}
+    """The leader columns of vertex 0 in the box (``_SignedGroup.leads``):
+    at most each of their images under the signed automorphisms with
+    pi(0) = 0, hence c[i] <= 0 for every i >= 1 (the signs alone) and
+    c <= c o pi for every pi in Stab_Aut(0).  These are the columns the
+    search keeps, up to sign, for vertex 0."""
+    group = _SignedGroup(g)
+    columns = product(range(-bound, bound + 1), *[range(-bound, 1)] * (g.n - 1))
+    return {c for c in columns if group.leads(c)}
 
 
 def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
@@ -688,9 +893,11 @@ class _Search:
     degree filtration and the components) and keeps both factors of R,
     since psi preserves the edge lattice.  So the lexicographically smallest
     matrix with a given value (columns compared in vertex order) is the
-    smallest of its orbit, and its column 0 is a leader under the psi with
-    pi(0) = 0 (``_leader_columns``).  ``leaves`` can drop the other columns
-    of vertex 0; ``run`` streams every matrix.
+    smallest of its orbit, a *leader* (``_SignedGroup``).  ``leaves`` with
+    the group drops what cannot hold a leader: the columns of vertex 0 that
+    lead in neither sign, during the walk, and at each leaf, before the last
+    column is solved, every sign pattern that some image already makes
+    smaller on the placed columns.  ``run`` streams every matrix.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
@@ -786,25 +993,31 @@ class _Search:
                     cols[v] = cvec
                     yield tuple(cols)
 
-    def leaves(self, leaders=None):
+    def leaves(self, group: _SignedGroup | None = None):
         """Yield one (v, placed, solutions) per search leaf: v is the solved
         vertex, placed the other columns in placement order with canonical
         signs, and solutions the sorted choices for column v, closed under
         negation.  The leaf's matrices are every solution combined with
-        every sign pattern of the placed columns.  With ``leaders`` (a set
-        of columns, see ``_leader_columns``), a placed column of vertex 0 is
-        kept only if it or its negation is a leader."""
+        every sign pattern of the placed columns.
+
+        With ``group``, each leaf is (v, placed, solutions, patterns) and
+        holds every leader of the stream (see ``_SignedGroup``).  A placed
+        column of vertex 0 is kept only if it or its negation leads
+        (``_SignedGroup.leads``).  Before the last column is solved, the
+        leaf's sign patterns are compared with their images as far as the
+        placed columns decide (``_SignedGroup.patterns``); a leaf with no
+        pattern left is not solved, and its budget is not charged.  patterns
+        holds the (index, cols) pairs of the patterns left."""
         n = self.n
         if n == 0:
             return
-        roots = None if leaders is None else leaders | {tuple(map(neg, c)) for c in leaders}
         placed: list[tuple[int, ...]] = []
         # minors[k][mask] = det of the placed columns on the rows in mask.
         minor_stack: list[list[int]] = [[0] * (1 << n)]
         minor_stack[0][0] = 1
         target: list[int | None] = [None] * len(self.comp_rows)
         used: set[int] = set()
-        yield from self._place(0, placed, minor_stack, target, used, roots)
+        yield from self._place(0, placed, minor_stack, target, used, group)
 
     def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
         """Minors of k placed columns from those of k-1, plus their gcd."""
@@ -820,7 +1033,7 @@ class _Search:
             g = gcd(g, acc)
         return table, g
 
-    def _place(self, depth: int, placed, minor_stack, target, used, roots):
+    def _place(self, depth: int, placed, minor_stack, target, used, group):
         n = self.n
         v = self.order[depth]
         last = depth == n - 1
@@ -829,7 +1042,7 @@ class _Search:
                 target[choice[0]] = choice[1]
                 used.add(choice[1])
             if last:
-                leaf = self._solve_last(v, rows, placed, minor_stack[-1])
+                leaf = self._solve_last(v, rows, placed, minor_stack[-1], group)
                 if leaf is not None:
                     yield leaf
             else:
@@ -838,30 +1051,38 @@ class _Search:
                 system = self._relation_system(depth, rows, placed)
                 if system:
                     pool = _canonical(_box_solutions(system, rows, n, self.bound))
-                if v == 0 and roots is not None:
-                    pool = [vec for vec in pool if vec in roots]
+                if v == 0 and group is not None:
+                    pool = [
+                        vec
+                        for vec in pool
+                        if group.leads(vec) or group.leads(tuple(map(neg, vec)))
+                    ]
                 for vec in pool:
                     table, g = self._extend_minors(minor_stack[-1], vec, depth + 1)
                     if g != 1:
                         continue
                     placed.append(vec)
                     minor_stack.append(table)
-                    yield from self._place(depth + 1, placed, minor_stack, target, used, roots)
+                    yield from self._place(depth + 1, placed, minor_stack, target, used, group)
                     minor_stack.pop()
                     placed.pop()
             if choice is not None:
                 target[choice[0]] = None
                 used.discard(choice[1])
 
-    def _solve_last(self, v: int, rows, placed, minors_top) -> tuple | None:
+    def _solve_last(self, v: int, rows, placed, minors_top, group=None) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed box,
-        together with its relation constraints; returns the leaf
-        (v, placed, solutions), or None without solutions."""
+        together with its relation constraints; returns the leaf (see
+        ``leaves``), or None without solutions or sign patterns."""
         n = self.n
         full = (1 << n) - 1
         g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
+        if group is not None:
+            patterns = group.patterns(self.order, placed)
+            if not patterns:
+                return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
         system = self._relation_system(n - 1, rows, placed)
         system.append(g + [1])
@@ -871,7 +1092,9 @@ class _Search:
         if not solutions:
             return None
         solutions.sort()
-        return v, tuple(placed), solutions
+        if group is None:
+            return v, tuple(placed), solutions
+        return v, tuple(placed), solutions, patterns
 
     def _relation_system(self, depth: int, rows, placed) -> list[list[int]]:
         """The edge-relation constraints on the column placed at ``depth``:
@@ -1025,13 +1248,16 @@ def compute_spectrum_report(
     matrix, re-verified against the closed form when one is known; a
     violation raises :class:`SpectrumConsistencyError`.
 
-    Only matrices whose column 0 is a leader are evaluated: conjugating by
-    a signed automorphism P_pi D_s with pi(0) = 0 keeps R and maps column 0
-    to the column with s_0 s_i c[i] in row pi(i), and the smallest matrix
-    with a given value is the smallest of its orbit, so its column 0 is at
-    most each such image (see ``_Search`` and ``_leader_columns``).  That
-    leaves the observed values and the witnesses unchanged.  When vertex 0
-    is the solved vertex of the search, nothing is pruned.
+    Conjugating by a signed automorphism P_pi D_s (pi in Aut(graph)) keeps
+    R, and the smallest matrix with a given value is the smallest of its
+    orbit.  So a leaf's sign pattern is evaluated only if no such image is
+    smaller on the columns that do not involve the solved vertex, compared
+    in vertex order against the whole group (``_SignedGroup``), and a leaf
+    with no such pattern is not solved.  That leaves the observed values
+    and the witnesses unchanged.  The comparisons that reach the solved
+    column are not carried on per solution, and when vertex 0 is the
+    solved vertex nothing is pruned.  Aut(graph) is searched only while
+    n! <= 5040; above that only the signs are used.
     """
     if bound is None:
         bound = default_bound(g)
@@ -1056,9 +1282,8 @@ def compute_spectrum_report(
         # The trivial group: its one automorphism has one twisted class.
         observed[1] = ()
     else:
-        leaders = _leader_columns(g, bound) if search.order[-1] != 0 else None
-        leaf_values = _make_leaf_values(search, leaders)
-        for v, placed, solutions in search.leaves(leaders):
+        leaf_values = _make_leaf_values(search)
+        for v, placed, solutions, patterns in search.leaves(_SignedGroup(g)):
             if check_structure:
                 # Column signs never change a support, so one sign pattern
                 # covers the whole leaf: the placed columns are checked once,
@@ -1070,7 +1295,7 @@ def compute_spectrum_report(
                 for cvec in solutions:
                     cols[v] = cvec
                     _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
-            for cols, values in leaf_values(placed, solutions):
+            for cols, values in leaf_values(placed, solutions, patterns):
                 # Within one sign pattern the smallest solution gives the
                 # smallest column tuple; the reversed pairs keep it.
                 firsts = dict(zip(reversed(values), reversed(solutions)))

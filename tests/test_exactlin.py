@@ -10,10 +10,8 @@ from nilgraph.exactlin import (
     abs_inf,
     det,
     kernel_rank,
-    kronecker,
     rank,
     smith_normal_form,
-    tensor_det_identity,
 )
 
 
@@ -33,13 +31,6 @@ def det_by_expansion(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_by_expansion(minor)
     return total
-
-
-def random_gl2(rng, limit=5):
-    while True:
-        rows = [[rng.randint(-limit, limit) for _ in range(2)] for _ in range(2)]
-        if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0] in (1, -1):
-            return rows
 
 
 class TestDet:
@@ -144,67 +135,6 @@ class TestKernelRank:
             rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
             m = mat(rows)
             assert kernel_rank(m) + rank(m) == c
-
-
-class TestKronecker:
-    def test_identities(self):
-        assert kronecker(IntMatrix.identity(2), IntMatrix.identity(2)) == IntMatrix.identity(4)
-
-    def test_scalars(self):
-        assert kronecker(mat([[2]]), mat([[3]])) == mat([[6]])
-
-    def test_antidiagonal_blocks(self):
-        a = mat([[0, 1], [1, 0]])
-        b = mat([[1, 1], [0, 1]])
-        expected = mat(
-            [
-                [0, 0, 1, 1],
-                [0, 0, 0, 1],
-                [1, 1, 0, 0],
-                [0, 1, 0, 0],
-            ]
-        )
-        assert kronecker(a, b) == expected
-
-    def test_shape(self):
-        k = kronecker(IntMatrix.zeros(2, 3), IntMatrix.zeros(4, 1))
-        assert (k.rows, k.cols) == (8, 3)
-
-
-class TestTensorDetIdentity:
-    def test_singular_case(self):
-        assert tensor_det_identity(2, 2, 1, 1, 1) == 0
-
-    def test_mixed_case_minus_plus(self):
-        assert tensor_det_identity(0, 0, -1, 1, 1) == 4
-
-    def test_mixed_case_plus_minus(self):
-        assert tensor_det_identity(1, 3, 1, -1, 1) == 12
-
-    def test_rejects_bad_signs(self):
-        with pytest.raises(ValueError):
-            tensor_det_identity(0, 0, 2, 1, 1)
-        with pytest.raises(ValueError):
-            tensor_det_identity(0, 0, 1, 1, 0)
-
-    def test_against_direct_determinant(self):
-        rng = random.Random(5)
-        eye4 = IntMatrix.identity(4)
-        for _ in range(250):
-            a = random_gl2(rng)
-            b = random_gl2(rng)
-            for eps in (1, -1):
-                k = kronecker(mat(a), mat(b))
-                scaled = IntMatrix(4, 4, tuple(eps * x for x in k.entries))
-                direct = det(eye4 - scaled)
-                closed = tensor_det_identity(
-                    a[0][0] + a[1][1],
-                    b[0][0] + b[1][1],
-                    det(mat(a)),
-                    det(mat(b)),
-                    eps,
-                )
-                assert direct == closed
 
 
 class TestExtNat:

@@ -1,9 +1,10 @@
 """The symmetry reduction of the spectrum report: conjugation by a signed
 graph automorphism keeps the matrix stream and R, the leader columns of
-vertex 0 against their definition, and the pruned report against a report
-built by brute force from the whole matrix stream."""
+vertex 0 against their definition, the sign patterns the search keeps
+against every orbit leader, and the pruned report against a report built
+by brute force from the whole matrix stream."""
 
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from time import perf_counter
 
 import pytest
@@ -21,6 +22,8 @@ from nilgraph.spectra import (
     _column_matrix,
     _leader_columns,
     _Search,
+    _sign_patterns,
+    _SignedGroup,
     compute_spectrum_report,
 )
 
@@ -91,22 +94,25 @@ def _stream_index(key: str):
     return _STREAMS[key]
 
 
-def _in_stream(search, leaves, cols) -> bool:
-    v = search.order[-1]
-    placed = tuple(
+def _canonical_placed(search, cols):
+    """The placed columns of a column tuple, in placement order, each with
+    its first nonzero entry positive, as a leaf holds them."""
+    return tuple(
         w if next(x for x in w if x) > 0 else tuple(-x for x in w)
         for w in (cols[u] for u in search.order[:-1])
     )
-    return bool(leaves.get(placed, 0) >> _code(cols[v], 1) & 1)
 
 
-@given(st.data())
-def test_signed_conjugation_keeps_the_stream_and_r(data):
-    """For a catalog graph at bound 1, a matrix X of its stream and a signed
-    automorphism psi: psi X psi^-1 is in the stream, with the same r1, r2
-    and R."""
+def _in_stream(search, leaves, cols) -> bool:
+    placed = _canonical_placed(search, cols)
+    return bool(leaves.get(placed, 0) >> _code(cols[search.order[-1]], 1) & 1)
+
+
+def _draw_stream_matrix(data):
+    """(catalog entry, search, leaves, columns) of a matrix drawn from the
+    stream of a catalog graph at bound 1."""
     e = data.draw(st.sampled_from(CATALOG), label="graph")
-    g, n = e.graph, e.graph.n
+    n = e.graph.n
     search, leaves, placed_list = _stream_index(e.key)
     placed = data.draw(st.sampled_from(placed_list), label="leaf")
     mask = leaves[placed]
@@ -115,7 +121,16 @@ def test_signed_conjugation_keeps_the_stream_and_r(data):
     for u, w in zip(search.order, placed):
         cols[u] = w if data.draw(st.booleans()) else tuple(-x for x in w)
     cols[search.order[-1]] = _decode(solved, n, 1)
-    cols = tuple(cols)
+    return e, search, leaves, tuple(cols)
+
+
+@given(st.data())
+def test_signed_conjugation_keeps_the_stream_and_r(data):
+    """For a catalog graph at bound 1, a matrix X of its stream and a signed
+    automorphism psi: psi X psi^-1 is in the stream, with the same r1, r2
+    and R."""
+    e, search, leaves, cols = _draw_stream_matrix(data)
+    g, n = e.graph, e.graph.n
     pi = data.draw(st.sampled_from(_automorphisms(g)), label="pi")
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), label="signs")
     image = _conjugate(cols, pi, signs)
@@ -164,6 +179,143 @@ def test_leader_columns_of_a_large_graph_use_the_signs_only(monkeypatch):
     assert perf_counter() - t0 < 0.5
     assert len(leaders) == 3 * 2**9
     assert all(max(c[1:]) <= 0 for c in leaders)
+
+
+# ---------------------------------------------------------------------------
+# The sign patterns kept before the last column is solved
+# ---------------------------------------------------------------------------
+
+
+def _signed_automorphisms(g: Graph):
+    """Every (pi, signs) of the group, the signs up to a common sign."""
+    return [
+        (pi, (1, *signs))
+        for pi in _automorphisms(g)
+        for signs in product((1, -1), repeat=g.n - 1)
+    ]
+
+
+def _is_leader(cols, signed) -> bool:
+    return all(cols <= _conjugate(cols, pi, signs) for pi, signs in signed)
+
+
+def _decided_smaller(cols, v, pi, signs) -> bool:
+    """psi X psi^-1 compares below X on the columns before the first one
+    that involves column v of X (column v itself, or the image of it)."""
+    n = len(cols)
+    for k in range(n):
+        w = pi.index(k)
+        if v in (k, w):
+            return False
+        image = [0] * n
+        for i in range(n):
+            image[pi[i]] = signs[w] * signs[i] * cols[w][i]
+        if tuple(image) != cols[k]:
+            return tuple(image) < cols[k]
+    return False
+
+
+def _check_leaf(search, group, signed, placed, solutions):
+    """The leaf's kept sign patterns are exactly those that no image makes
+    smaller before column v enters the comparison, and every matrix of a
+    dropped pattern has a smaller image."""
+    n, v = search.n, search.order[-1]
+    kept = {index for index, _ in group.patterns(search.order, placed)}
+    for index, cols in enumerate(_sign_patterns(n, search.order[:-1], placed)):
+        dropped = any(_decided_smaller(cols, v, pi, signs) for pi, signs in signed)
+        assert (index in kept) != dropped, (placed, index)
+        if dropped:
+            for x in solutions:
+                cols[v] = x
+                assert not _is_leader(tuple(cols), signed), cols
+
+
+@pytest.mark.parametrize("bound", (1, 2))
+@pytest.mark.parametrize("key", sorted(k for k, e in CATALOG_BY_KEY.items() if e.graph.n <= 3))
+def test_kept_matrices_hold_every_orbit_leader(key, bound):
+    """On a small graph the leaves the search yields with the group, each
+    solution with each kept sign pattern, hold the lexicographically
+    smallest matrix of every orbit of the stream; each leaf keeps exactly
+    the patterns the placed columns cannot rule out."""
+    g = CATALOG_BY_KEY[key].graph
+    p = Presentation.of(g)
+    signed = _signed_automorphisms(g)
+    leaders, seen = set(), set()
+    for cols in _automorphism_columns(p, bound):
+        if cols not in seen:
+            orbit = {_conjugate(cols, pi, signs) for pi, signs in signed}
+            seen |= orbit
+            leaders.add(min(orbit))
+    search = _Search(p, bound, True, _Budget(None))
+    group = _SignedGroup(g)
+    kept = set()
+    for v, placed, solutions, patterns in search.leaves(group):
+        for _, cols in patterns:
+            for x in solutions:
+                cols[v] = x
+                kept.add(tuple(cols))
+    assert leaders <= kept <= seen
+    for v, placed, solutions in search.leaves():
+        _check_leaf(search, group, signed, placed, solutions)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(e.graph, id=e.key) for e in CATALOG if e.graph.n == 4]
+    + [pytest.param(cycle_graph(5), id="C5")],
+)
+def test_first_leaves_keep_every_orbit_leader(g):
+    """The same on the first leaves of the four-vertex classes and C5 at
+    bound 1: a dropped sign pattern holds no leader, a kept one is not
+    ruled out by the placed columns."""
+    search = _Search(Presentation.of(g), 1, True, _Budget(None))
+    group = _SignedGroup(g)
+    signed = _signed_automorphisms(g)
+    for v, placed, solutions in islice(search.leaves(), 60):
+        _check_leaf(search, group, signed, placed, solutions)
+
+
+_GROUPS: dict = {}
+
+
+@given(st.data())
+def test_orbit_minimum_of_a_stream_matrix_is_kept(data):
+    """For a matrix X of the stream of a catalog graph at bound 1, the
+    smallest psi X psi^-1 leads in column 0, and its sign pattern is kept
+    at its leaf."""
+    e, search, leaves, cols = _draw_stream_matrix(data)
+    if e.key not in _GROUPS:
+        _GROUPS[e.key] = _signed_automorphisms(e.graph), _SignedGroup(e.graph)
+    signed, group = _GROUPS[e.key]
+    least = min(_conjugate(cols, pi, signs) for pi, signs in signed)
+    assert _in_stream(search, leaves, least)
+    if search.order[-1] != 0:
+        assert group.leads(least[0])
+    own = _canonical_placed(search, least)
+    index = 0
+    for u, w in zip(search.order[:-1], own):
+        index = 2 * index + (least[u] != w)
+    assert index in {i for i, _ in group.patterns(search.order, own)}
+
+
+def test_group_of_a_graph_over_the_cap_enumerates_no_permutations(monkeypatch):
+    """With n! > 5040 the group is the signs alone (pi = id): no permutation
+    is tried, and a leaf of eight columns is tested at once."""
+
+    def refuse(*args):
+        raise AssertionError("permutations enumerated")
+
+    monkeypatch.setattr(spectra, "permutations", refuse)
+    g = empty_graph(8)
+    assert spectra._automorphisms(g) == [tuple(range(8))]
+    group = _SignedGroup(g)
+    placed = [tuple(1 if i == j else 0 for i in range(8)) for j in range(7)]
+    t0 = perf_counter()
+    kept = group.patterns(tuple(range(8)), placed)
+    assert perf_counter() - t0 < 0.5
+    # The identity matrix and its column sign changes: the signs alone map
+    # e_0 ... e_6 to one another, so every pattern is its own leader.
+    assert len(kept) == 2**7
 
 
 # ---------------------------------------------------------------------------

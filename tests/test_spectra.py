@@ -1,5 +1,7 @@
 import json
 from itertools import product
+from math import isqrt
+from time import perf_counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from nilgraph.spectra import (
     ProductForm,
     SearchBudgetExceeded,
     _automorphism_columns,
+    _divisors,
     _is_positive_cube,
     _one_edge_values,
     _pinched_cube_values,
@@ -120,6 +123,29 @@ class TestMembership:
         # |a b (a+b)^2| at a = 3**5, b = -2 * 3**5; found among the 42
         # divisors of v, where a scan of |a|, |b| <= v would not end
         assert TWO_EDGE_FAMILY.contains(2 * 3**20)
+
+    def test_divisors_match_trial_division(self):
+        def trial(v):
+            small = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+            return small + [v // d for d in reversed(small) if d * d != v]
+
+        for v in range(1, 2001):
+            assert _divisors(v) == trial(v), v
+
+    def test_membership_near_10_18_is_fast(self):
+        # Two nine-digit primes, the square of one, and a one-edge value
+        # |a b (a+b)^2| with five-digit a and b; trial division would run
+        # to about 10^9.
+        p, q = 999_999_937, 1_000_000_007
+        t0 = perf_counter()
+        assert _divisors(2 * p * q) == [1, 2, p, q, 2 * p, 2 * q, p * q, 2 * p * q]
+        assert _divisors(p * p) == [1, p, p * p]
+        a, b = 30_011, 20_011
+        assert TWO_EDGE_FAMILY.contains(a * b * (a + b) ** 2)
+        assert ONE_EDGE_FAMILY.contains(2 * a * b * (a + b) ** 2)
+        ProductForm((TWO_SQUARES, ONE_EDGE_FAMILY)).contains(2 * p * q)
+        ProductForm((TWO_SQUARES, ONE_EDGE_FAMILY)).contains(2 * (10**14 + 3))
+        assert perf_counter() - t0 < 1
 
     def test_squares_scaled_by_four(self):
         for v in (4, 12, 16, 20, 36, 48):
