@@ -876,16 +876,19 @@ class _Search:
     edge relations tie a new column x to each placed neighbour column u by
     u[a] x[b] = u[b] x[a] for every non-edge (a, b), which is linear in x;
     so the candidates for a column are the solutions of that integer system
-    in the box, and the last column adds the determinant row g.x = +-1 to
-    it (see ``_box_solutions``).  Without relations a column ranges over the
-    cached pool of the box.  Column signs are canonicalized during the walk
+    in the box (see ``_box_solutions``).  The walk meets few distinct
+    systems many times, so each (allowed rows, system) pair is solved once
+    per search and its pool reused (``_pool``); the pool of the box is the
+    entry of the empty system.  The last column adds the determinant row
+    g.x = +-1 (``_solve_last``).  Column signs are canonicalized during the walk
     and expanded at the leaves, which is lossless because every constraint
     in play is invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
     matrix has coprime maximal minors), each a Laplace expansion along the
     new column over terms built once.  The node budget is charged the pool
     size per placed column and 2 (2B+1)^(k-1) per last column on k rows,
-    whatever the solve enumerates.  ``_make_leaf_values`` evaluates leaves.
+    whatever the solve enumerates and whether it was solved before.
+    ``_make_leaf_values`` evaluates leaves.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
     Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
@@ -933,7 +936,11 @@ class _Search:
             ]
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
-        self._pools: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # Per (allowed rows, relation system): the canonical candidates; per
+        # allowed rows: the unconstrained candidates packed for g.x (see
+        # ``_unit_solutions``).
+        self._pools: dict[tuple, list[tuple[int, ...]]] = {}
+        self._packed: dict[tuple[int, ...], tuple] = {}
         # Laplace expansion along the new column of each minor of k placed
         # columns: per row mask, the terms (row r, mask without r, sign).
         self._laplace: list[list] = [[] for _ in range(n)]
@@ -953,13 +960,50 @@ class _Search:
             for depth, v in enumerate(self.order)
         ]
 
-    def _pool(self, rows_allowed: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Candidate columns on the given rows with no relation constraint."""
-        cached = self._pools.get(rows_allowed)
-        if cached is None:
-            cached = _canonical(_box_solutions([], rows_allowed, self.n, self.bound))
-            self._pools[rows_allowed] = cached
-        return cached
+    def _pool(self, rows: tuple[int, ...], system: frozenset = frozenset()) -> list[tuple]:
+        """Canonical candidate columns on ``rows`` under the relation
+        ``system`` (see ``_relation_system``; none by default), solved once
+        per search and reused whenever the same system comes back."""
+        key = rows, system
+        pool = self._pools.get(key)
+        if pool is None:
+            solved = _box_solutions([list(row) for row in system], rows, self.n, self.bound)
+            pool = self._pools[key] = _canonical(solved)
+        return pool
+
+    def _unit_solutions(self, rows: tuple[int, ...], g: list[int]) -> list[tuple[int, ...]]:
+        """The sorted columns x on ``rows`` of the box with g.x = +-1, with
+        no relation constraint: the unconstrained pool filtered by one packed
+        dot product.  Candidate j fills slot j of each packed coordinate, a
+        byte-aligned slot wide enough for |g.x| <= n! bound^n; shifted by half
+        a slot, g.x = +-1 are two byte strings found at slot offsets.  A
+        solution is primitive, so it or its negation is in the pool, and
+        every negated candidate sorts below every candidate."""
+        packed = self._packed.get(rows)
+        if packed is None:
+            pool = self._pool(rows)
+            size = (_charpoly_width(self.n, self.bound) + 7) // 8
+            half = 1 << (8 * size - 1)
+            offset = int.from_bytes(half.to_bytes(size, "little") * len(pool), "little")
+            coords = []
+            for r in rows:
+                digits = b"".join([(x[r] + half).to_bytes(size, "little") for x in pool])
+                coords.append(int.from_bytes(digits, "little") - offset)
+            targets = [(half + d).to_bytes(size, "little") for d in (-1, 1)]
+            packed = self._packed[rows] = pool, size, offset, coords, targets
+        pool, size, offset, coords, targets = packed
+        data = sum(map(mul, g, coords), offset).to_bytes(size * len(pool), "little")
+        hits = []
+        for target in targets:
+            i = data.find(target)
+            while i >= 0:
+                if i % size:
+                    i = data.find(target, i + 1)
+                else:
+                    hits.append(i // size)
+                    i = data.find(target, i + size)
+        hits.sort()
+        return [tuple(map(neg, pool[j])) for j in reversed(hits)] + [pool[j] for j in hits]
 
     def _column_options(self, v: int, target, used_targets):
         """Yield (component_choice, rows_allowed) branches for column v."""
@@ -1050,7 +1094,7 @@ class _Search:
                 self.budget.spend(len(pool))
                 system = self._relation_system(depth, rows, placed)
                 if system:
-                    pool = _canonical(_box_solutions(system, rows, n, self.bound))
+                    pool = self._pool(rows, system)
                 if v == 0 and group is not None:
                     pool = [
                         vec
@@ -1073,7 +1117,11 @@ class _Search:
     def _solve_last(self, v: int, rows, placed, minors_top, group=None) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed box,
         together with its relation constraints; returns the leaf (see
-        ``leaves``), or None without solutions or sign patterns."""
+        ``leaves``), or None without solutions or sign patterns.  Without
+        relation rows the pool of the box is filtered by one packed dot
+        product (``_unit_solutions``).  With them the system and the g row
+        are solved afresh: g changes from leaf to leaf, so such a system
+        rarely repeats and is not kept."""
         n = self.n
         full = (1 << n) - 1
         g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
@@ -1085,25 +1133,29 @@ class _Search:
                 return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
         system = self._relation_system(n - 1, rows, placed)
-        system.append(g + [1])
-        # The solutions for -1 are the negated solutions for +1.
-        solutions = _box_solutions(system, rows, n, self.bound)
-        solutions += [tuple(map(neg, c)) for c in solutions]
+        if system:
+            system = [list(row) for row in system]
+            system.append(g + [1])
+            # The solutions for -1 are the negated solutions for +1.
+            solutions = _box_solutions(system, rows, n, self.bound)
+            solutions += [tuple(map(neg, c)) for c in solutions]
+            solutions.sort()
+        else:
+            solutions = self._unit_solutions(rows, g)
         if not solutions:
             return None
-        solutions.sort()
         if group is None:
             return v, tuple(placed), solutions
         return v, tuple(placed), solutions, patterns
 
-    def _relation_system(self, depth: int, rows, placed) -> list[list[int]]:
+    def _relation_system(self, depth: int, rows, placed) -> frozenset:
         """The edge-relation constraints on the column placed at ``depth``:
         u[a] x[b] - u[b] x[a] = 0 for each placed neighbour column u and
-        each non-edge (a, b), as the distinct nonzero rows of coefficients
-        on ``rows`` followed by the right-hand side 0."""
+        each non-edge (a, b), as the set of distinct nonzero rows (tuples)
+        of coefficients on ``rows`` followed by the right-hand side 0."""
         depths = self.neighbor_depths[depth]
         if not depths:
-            return []
+            return frozenset()
         slot = {r: j for j, r in enumerate(rows)}
         pairs = [(slot.get(a), slot.get(b), a, b) for a, b in self.nonedges]
         distinct = set()
@@ -1117,7 +1169,7 @@ class _Search:
                     row[ja] = -u[b]
                 if any(row):
                     distinct.add(tuple(row))
-        return [list(row) for row in distinct]
+        return frozenset(distinct)
 
 
 def _automorphism_columns(
@@ -1235,6 +1287,48 @@ def _check_block_structure(
     return seen
 
 
+def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int | None) -> dict:
+    """Walk the bounded search of ``compute_spectrum_report`` and evaluate
+    its leaves: each finite value observed, with the lexicographically
+    smallest column tuple that realizes it.  The search and its solved
+    column systems live only in this call, so an error the report raises
+    afterwards does not keep them alive."""
+    n = p.n
+    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
+    if n == 0:
+        # The trivial group: its one automorphism has one twisted class.
+        return {1: ()}
+    degs, comp_of, n_comps = search.degs, search.comp_of, len(search.comp_rows)
+    check_structure = n_comps > 1 or len(set(degs)) > 1
+    # Witness ties are broken by the lexicographically smallest column tuple.
+    observed: dict[int, tuple] = {}
+    leaf_values = _make_leaf_values(search)
+    for v, placed, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
+        if check_structure:
+            # Column signs never change a support, so one sign pattern
+            # covers the whole leaf: the placed columns are checked once,
+            # then column v of each solution.
+            cols = [None] * n
+            for u, w in zip(search.order, placed):
+                cols[u] = w
+            seen = _check_block_structure(p, cols, degs, comp_of, n_comps, search.order[:-1])
+            for cvec in solutions:
+                cols[v] = cvec
+                _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
+        for cols, values in leaf_values(placed, solutions, patterns):
+            # Within one sign pattern the smallest solution gives the
+            # smallest column tuple; the reversed pairs keep it.
+            firsts = dict(zip(reversed(values), reversed(solutions)))
+            firsts.pop(None, None)
+            for value, cvec in firsts.items():
+                cols[v] = cvec
+                key = tuple(cols)
+                best = observed.get(value)
+                if best is None or key < best:
+                    observed[value] = key
+    return observed
+
+
 def compute_spectrum_report(
     g: Graph,
     bound: int | None = None,
@@ -1263,7 +1357,7 @@ def compute_spectrum_report(
         bound = default_bound(g)
     p = Presentation.of(g)
     n = p.n
-    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
+    observed = _observe(p, bound, struct_prunes, node_budget)
     rule = detect_r_infinity(g)
     if rule is not None:
         classification = Classification("r_infinity_rule", rule=rule)
@@ -1273,43 +1367,6 @@ def compute_spectrum_report(
             classification = Classification("closed_form", form=form.simplify())
         else:
             classification = Classification("search_only")
-
-    degs, comp_of, n_comps = search.degs, search.comp_of, len(search.comp_rows)
-    check_structure = n_comps > 1 or len(set(degs)) > 1
-    # Witness ties are broken by the lexicographically smallest column tuple.
-    observed: dict[int, tuple] = {}
-    if n == 0:
-        # The trivial group: its one automorphism has one twisted class.
-        observed[1] = ()
-    else:
-        leaf_values = _make_leaf_values(search)
-        for v, placed, solutions, patterns in search.leaves(_SignedGroup(g)):
-            if check_structure:
-                # Column signs never change a support, so one sign pattern
-                # covers the whole leaf: the placed columns are checked once,
-                # then column v of each solution.
-                cols = [None] * n
-                for u, w in zip(search.order, placed):
-                    cols[u] = w
-                seen = _check_block_structure(p, cols, degs, comp_of, n_comps, search.order[:-1])
-                for cvec in solutions:
-                    cols[v] = cvec
-                    _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
-            for cols, values in leaf_values(placed, solutions, patterns):
-                # Within one sign pattern the smallest solution gives the
-                # smallest column tuple; the reversed pairs keep it.
-                firsts = dict(zip(reversed(values), reversed(solutions)))
-                firsts.pop(None, None)
-                for value, cvec in firsts.items():
-                    cols[v] = cvec
-                    key = tuple(cols)
-                    best = observed.get(value)
-                    if best is None or key < best:
-                        observed[value] = key
-    witnesses = {
-        v: tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        for v, cols in observed.items()
-    }
 
     if classification.kind == "closed_form":
         for value in sorted(observed):
@@ -1321,6 +1378,10 @@ def compute_spectrum_report(
         raise SpectrumConsistencyError(
             f"rule {classification.rule} fired but finite values {sorted(observed)} were realized"
         )
+    witnesses = {
+        v: tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        for v, cols in observed.items()
+    }
     return SpectrumReport(
         graph=g,
         classification=classification,

@@ -3,7 +3,9 @@ the matrix stream, the leaf evaluator against ``reidemeister_number``, the
 recorded reports of the evaluation-heavy searches, and the consistency
 guards of the search."""
 
+import gc
 import json
+import tracemalloc
 from itertools import combinations, islice
 from operator import mul
 from pathlib import Path
@@ -268,3 +270,30 @@ class TestReportGuards:
         monkeypatch.setattr(spectra, "detect_r_infinity", lambda g: "Fake")
         with pytest.raises(SpectrumConsistencyError, match=r"rule Fake fired but finite values \[2\]"):
             compute_spectrum_report(empty_graph(1), 1)
+
+    def test_failed_report_keeps_no_search(self):
+        """A report that fails its consistency check (``two_edges`` at bound
+        3, a recorded defect) raises from no frame that holds the search or
+        its solved column systems: a kept exception retains under 20 KB."""
+        g = CATALOG_BY_KEY["two_edges"].graph
+
+        def fail():
+            with pytest.raises(SpectrumConsistencyError) as info:
+                compute_spectrum_report(g, 3)
+            return info.value
+
+        fail()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [fail() for _ in range(3)]
+            gc.collect()
+            retained = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        tb = kept[0].__traceback__
+        while tb is not None:
+            assert not any(isinstance(x, _Search) for x in tb.tb_frame.f_locals.values())
+            tb = tb.tb_next
+        assert retained < 20_000

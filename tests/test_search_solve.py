@@ -1,24 +1,33 @@
 """The exact solve of the search's linear constraints: the column stream of
 the bounded search against a recorded golden, the solve against a
-brute-force scan of the box, and ``rank`` through the shared elimination.
+brute-force scan of the box, the reused column systems and the packed
+last-column filter against fresh solves, the budget of whole walks, and
+``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
 import hashlib
 import json
 import random
-from itertools import product
-from operator import mul
+from itertools import combinations, product
+from operator import mul, neg
 from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nilgraph.catalog import CATALOG
-from nilgraph.exactlin import IntMatrix, echelon, rank, smith_normal_form
+from nilgraph.exactlin import IntMatrix, det_flat, echelon, rank, smith_normal_form
 from nilgraph.graphs import Graph, cycle_graph, path_graph
 from nilgraph.nilgroup import Presentation
-from nilgraph.spectra import _automorphism_columns, _box_solutions, _Budget, _canonical, _Search
+from nilgraph.spectra import (
+    _automorphism_columns,
+    _box_solutions,
+    _Budget,
+    _canonical,
+    _Search,
+    _SignedGroup,
+)
 
 STREAM_GOLDEN = Path(__file__).resolve().parent / "golden" / "automorphism_streams.json"
 
@@ -146,7 +155,7 @@ def test_search_columns_match_the_minor_filter(data):
     box = list(_box(n, bound, rows))
     if depth < n - 1:
         system = search._relation_system(depth, rows, placed)
-        got = _canonical(_box_solutions(system, rows, n, bound)) if system else search._pool(rows)
+        got = search._pool(rows, system)
         assert got == [x for x in search._pool(rows) if related(x)]
         return
     full = (1 << n) - 1
@@ -157,6 +166,102 @@ def test_search_columns_match_the_minor_filter(data):
     want = [x for x in box if related(x) and sum(map(mul, g, x)) in (1, -1)]
     leaf = search._solve_last(v, rows, placed, minors)
     assert (leaf[2] if leaf else []) == want
+
+
+def _fresh_pool(system, rows, n, bound):
+    return _canonical(_box_solutions([list(row) for row in system], rows, n, bound))
+
+
+@given(st.data())
+def test_solved_systems_are_reused_per_rows(data):
+    """A column system asked for again returns the pool a fresh solve
+    gives, and the same relation rows on other allowed rows are solved on
+    those rows, not read back from the first."""
+    n = data.draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    bound = data.draw(st.integers(1, 2))
+    search = _Search(Presentation.of(graph), bound, True, _Budget(None))
+    depth = data.draw(st.integers(1, n - 1))
+    rows = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    entry = st.integers(-bound, bound)
+    placed = [tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(depth)]
+    system = search._relation_system(depth, rows, placed)
+    want = _fresh_pool(system, rows, n, bound)
+    assert search._pool(rows, system) == want
+    assert search._pool(rows, system) == want  # asked again: read back
+    others = [r for r in combinations(range(n), len(rows)) if r != rows]
+    if others:
+        other = data.draw(st.sampled_from(others))
+        assert search._pool(other, system) == _fresh_pool(system, other, n, bound)
+        assert search._pool(rows, system) == want
+
+
+@given(st.data())
+def test_packed_filter_matches_the_determinant_row(data):
+    """The unconstrained last column filtered by one packed dot product is
+    the solve of g.x = 1 on the box, with its negations, sorted; g holds
+    real maximal minors of placed columns, half the time with every entry
+    at +-bound, where |g.x| comes closest to the slot edge."""
+    n = data.draw(st.integers(1, 5))
+    bound = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        entry = st.sampled_from((-bound, bound))
+    else:
+        entry = st.integers(-bound, bound)
+    placed = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n - 1)]
+    rows = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    g = [
+        (-1) ** (r + n - 1) * det_flat([c[i] for i in range(n) if i != r for c in placed], n - 1)
+        for r in rows
+    ]
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    solutions = _box_solutions([g + [1]], rows, n, bound)
+    want = sorted(solutions + [tuple(map(neg, x)) for x in solutions])
+    assert search._unit_solutions(rows, g) == want
+
+
+CATALOG_BY_KEY = {e.key: e for e in CATALOG}
+EXTRA_GRAPHS = {
+    **{f"C{k}": cycle_graph(k) for k in (5, 6, 7)},
+    **{f"P{k}": path_graph(k) for k in (5, 6)},
+}
+
+# Budget a whole walk charges (with the symmetry group, as the report walks;
+# without it, as the matrix stream walks), for the searches of the benchmark.
+WALK_BUDGETS = {
+    ("K3", 3): (369599, 1535270),
+    ("K3_plus_point", 1): (12203, 48956),
+    ("star", 1): (13859, 68669),
+    ("one_edge", 1): (10248, 19860),
+    ("diamond", 1): (10248, 19860),
+    ("P3_plus_point", 2): (69824, 164510),
+    ("two_edges", 3): (8898, 28384),
+    ("C4", 2): (461370, 2155600),
+    ("C5", 1): (54497, 218582),
+    ("C6", 1): (329404, 1221140),
+    ("C7", 1): (1464720, 6246158),
+    ("P4", 3): (290926, 535828),
+    ("P5", 1): (26010, 37836),
+    ("P6", 1): (111918, 149340),
+    ("N42", 1): (172086, 2340360),
+    ("N32", 2): (24929, 92150),
+}
+
+
+def test_walks_charge_the_recorded_budget():
+    """The node budget a walk spends, read back from a budget too large to
+    run out, is the recorded amount: reusing a solved column system must
+    not change what a walk is charged."""
+    for (key, bound), want in WALK_BUDGETS.items():
+        g = CATALOG_BY_KEY[key].graph if key in CATALOG_BY_KEY else EXTRA_GRAPHS[key]
+        got = []
+        for group in (_SignedGroup(g), None):
+            budget = _Budget(10**18)
+            for _ in _Search(Presentation.of(g), bound, True, budget).leaves(group):
+                pass
+            got.append(10**18 - budget.left)
+        assert tuple(got) == want, (key, bound)
 
 
 def _rank_reference(rows, ncols):
