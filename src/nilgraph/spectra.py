@@ -22,7 +22,6 @@ from .graphs import (
     induced_subgraph,
     is_complete_plus_point,
     is_connected,
-    is_isomorphic,
     join_decompose,
 )
 from .morphism import endo_from_matrix, reidemeister_number
@@ -498,61 +497,48 @@ def _make_charpoly_keys(order, width: int):
     """Packed characteristic-polynomial keys for the leaves of a search with
     the given placement order: sum_k (E_k + 2^(width-1)) 2^(width (k-1)) over
     the principal-minor sums E_1..E_n, exact and injective.  A principal
-    minor on T + {v} is linear in column v (Laplace along it), and negating
-    column u negates those whose rows hold u; so within one leaf and sign
-    pattern the key is one dot product with column v."""
+    minor on T + {v} is linear in column v (Laplace along it), so for one
+    sign pattern of the placed columns the key is one dot product with
+    column v."""
     n = len(order)
     v, others = order[-1], order[:-1]
     offset = sum(1 << (width * k + width - 1) for k in range(n))
-    # Per subset T of the placed vertices (indexed like the sign patterns),
-    # per row r of T + {v}: the sign and digit of the cofactor of entry (r, v)
-    # in det(M_{T + v}) and the cells (placed index, row) of its minor.  The
-    # cofactor of (v, v) is det(M_T), which also goes one digit lower.
+    # Per subset T of the placed vertices, per row r of T + {v}: the sign
+    # and digit of the cofactor of entry (r, v) in det(M_{T + v}) and the
+    # cells (column, row) of its minor.  The cofactor of (v, v) is det(M_T),
+    # which also goes one digit lower.
     subsets = []
-    for signs in product((0, 1), repeat=n - 1):
-        t = sorted((u, i) for i, (u, s) in enumerate(zip(others, signs)) if s)
-        tv = sorted([u for u, _ in t] + [v])
-        sign = (-1) ** tv.index(v) << (width * len(t))
-        cofactors = [
-            (r, (-1) ** j * sign, [(i, rr) for rr in tv if rr != r for _, i in t])
-            for j, r in enumerate(tv)
-        ]
-        subsets.append((len(t), cofactors))
-    # Pattern p sums the terms over T with the sign (-1)^|T & negated|, a row
-    # of the Walsh-Hadamard matrix over the subset indices.
-    hadamard = [[(-1) ** (p & t).bit_count() for t in range(len(subsets))] for p in range(len(subsets))]
+    for k in range(n):
+        for t in combinations(sorted(others), k):
+            tv = sorted(t + (v,))
+            sign = (-1) ** tv.index(v) << (width * k)
+            cofactors = [
+                (r, (-1) ** j * sign, [(u, rr) for rr in tv if rr != r for u in t])
+                for j, r in enumerate(tv)
+            ]
+            subsets.append((k, cofactors))
 
-    def leaf_keys(placed, patterns=None):
-        """Yield (cols, base, coef) per sign pattern of the placed columns
-        (all of them, or the (index, cols) pairs of ``patterns``, where
-        index is the pattern's place in the order of ``_sign_patterns``):
-        cols holds them with those signs (cols[v] is None), and the key of
-        the matrix whose column v is x is base + coef . x."""
-        # terms[T] = coef + [base - offset] of the terms on T.
-        terms = []
+    def pattern_key(cols):
+        """(base, coef) of one sign pattern: cols holds the placed columns
+        with their signs (cols[v] is unread), and the key of the matrix
+        whose column v is x is base + coef . x."""
+        coef = [0] * n
         for k, cofactors in subsets:
-            vec = [0] * (n + 1)
             for r, sg, cells in cofactors:
-                vec[r] = sg * det_flat([placed[i][rr] for i, rr in cells], k)
-            vec[n] = vec[v] >> width
-            terms.append(vec)
-        columns = list(zip(*terms))
-        if patterns is None:
-            patterns = enumerate(_sign_patterns(n, others, placed))
-        for index, cols in patterns:
-            row = hadamard[index]
-            vec = [sum(map(mul, row, column)) for column in columns]
-            yield cols, offset + vec[n], vec[:n]
+                coef[r] += sg * det_flat([cols[u][rr] for u, rr in cells], k)
+        return offset + (coef[v] >> width), coef
 
-    return leaf_keys
+    return pattern_key
 
 
 def _make_leaf_values(search: _Search):
     """Specialized evaluator for the leaves of ``search`` (see
-    ``_Search.leaves``): within one leaf and one sign pattern only the
-    column of the solved vertex v varies.  It evaluates every sign pattern
-    of a leaf, or only the (index, cols) pairs it is given (see
-    ``_Search.leaves``).
+    ``_Search.leaves``), called once per kept sign pattern as
+    ``leaf_values(cols, solutions)``: cols holds the placed columns with
+    the pattern's signs (cols[v] is unread), and values[j] is the finite
+    Reidemeister number of the matrix whose column v is solutions[j], or
+    None when it is infinite.  Within one pattern only the column of the
+    solved vertex v varies.
 
     Edgeless graphs: both determinant layers depend only on the
     characteristic polynomial (the commutator action is the full second
@@ -566,25 +552,24 @@ def _make_leaf_values(search: _Search):
     p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
     if p.graph.is_edgeless:
-        leaf_keys = _make_charpoly_keys(order, _charpoly_width(n, search.bound))
+        pattern_key = _make_charpoly_keys(order, _charpoly_width(n, search.bound))
         memo: dict[int, int | None] = {}
         miss = object()
 
-        def charpoly_values(placed, solutions, patterns=None):
+        def charpoly_values(cols, solutions):
             # The sorted solutions are closed under negation, so the j-th
             # from the end is minus the j-th, and its key is 2 base - key.
-            half = solutions[: len(solutions) // 2]
-            for cols, base, coef in leaf_keys(placed, patterns):
-                keys = [base + sum(map(mul, x, coef)) for x in half]
-                keys += [2 * base - key for key in reversed(keys)]
-                values = list(map(memo.get, keys, repeat(miss)))
-                if miss in values:
-                    for key, x in zip(keys, solutions):
-                        if key not in memo:
-                            m = _column_matrix(cols[:v] + [x] + cols[v + 1 :])
-                            memo[key] = reidemeister_number(endo_from_matrix(p, m)).r.value
-                    values = [memo[key] for key in keys]
-                yield cols, values
+            base, coef = pattern_key(cols)
+            keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
+            keys += [2 * base - key for key in reversed(keys)]
+            values = list(map(memo.get, keys, repeat(miss)))
+            if miss in values:
+                for key, x in zip(keys, solutions):
+                    if key not in memo:
+                        m = _column_matrix(cols[:v] + [x] + cols[v + 1 :])
+                        memo[key] = reidemeister_number(endo_from_matrix(p, m)).r.value
+                values = [memo[key] for key in keys]
+            return values
 
         return charpoly_values
     nonedges = p.nonedges
@@ -606,49 +591,40 @@ def _make_leaf_values(search: _Search):
         if v in (c, d)
     ]
 
-    def leaf_values(placed, solutions, patterns=None):
-        """Yield (cols, values) per sign pattern of the placed columns: cols
-        holds the placed columns with those signs (cols[v] is None), and
-        values[j] is the finite Reidemeister number of the matrix whose
-        column v is solutions[j], or None when it is infinite."""
-        if patterns is None:
-            patterns = enumerate(_sign_patterns(n, others, placed))
-        for _, cols in patterns:
-            acols: list = [None] * n
-            for u in others:
-                acols[u] = col = [-x for x in cols[u]]
-                col[u] += 1
-            cof = [sg * det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
-            if not any(cof):
-                # det(1 - M1) vanishes whatever column v is.
-                yield cols, [None] * len(solutions)
+    def leaf_values(cols, solutions):
+        acols: list = [None] * n
+        for u in others:
+            acols[u] = col = [-x for x in cols[u]]
+            col[u] += 1
+        cof = [sg * det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
+        if not any(cof):
+            # det(1 - M1) vanishes whatever column v is.
+            return [None] * len(solutions)
+        cof_v = cof[v]
+        d1s = [cof_v - sum(map(mul, x, cof)) for x in solutions]
+        if not N:
+            return [abs(d1) or None for d1 in d1s]
+        base = eye[:]
+        for l, c, d in fixed:
+            cc, cd = cols[c], cols[d]
+            for i, a, b in rows_cells:
+                base[i + l] += cd[a] * cc[b] - cd[b] * cc[a]
+        movers = [
+            (cols[u] if plus else tuple(-x for x in cols[u]), cells)
+            for u, plus, cells in moving
+        ]
+        values = []
+        for x, d1 in zip(solutions, d1s):
+            if d1 == 0:
+                values.append(None)
                 continue
-            cof_v = cof[v]
-            d1s = [cof_v - sum(map(mul, x, cof)) for x in solutions]
-            if not N:
-                yield cols, [abs(d1) or None for d1 in d1s]
-                continue
-            base = eye[:]
-            for l, c, d in fixed:
-                cc, cd = cols[c], cols[d]
-                for i, a, b in rows_cells:
-                    base[i + l] += cd[a] * cc[b] - cd[b] * cc[a]
-            movers = [
-                (cols[u] if plus else tuple(-x for x in cols[u]), cells)
-                for u, plus, cells in moving
-            ]
-            values = []
-            for x, d1 in zip(solutions, d1s):
-                if d1 == 0:
-                    values.append(None)
-                    continue
-                m2 = base[:]
-                for w, cells in movers:
-                    for i, a, b in cells:
-                        m2[i] += w[a] * x[b] - w[b] * x[a]
-                d2 = det_flat(m2, N)
-                values.append(abs(d1 * d2) if d2 else None)
-            yield cols, values
+            m2 = base[:]
+            for w, cells in movers:
+                for i, a, b in cells:
+                    m2[i] += w[a] * x[b] - w[b] * x[a]
+            d2 = det_flat(m2, N)
+            values.append(abs(d1 * d2) if d2 else None)
+        return values
 
     return leaf_values
 
@@ -762,16 +738,15 @@ class _SignedGroup:
                     return y < x
         return False
 
-    def patterns(self, order, placed) -> list[tuple[int, list]]:
+    def patterns(self, order, placed) -> list[list]:
         """The sign patterns of a leaf's placed columns (in placement order
         ``order``, the solved vertex last) that no image makes smaller
-        before the solved column enters the comparison, as (index, cols)
-        pairs: the pattern's place in the order of ``_sign_patterns`` and
-        its columns, None at the solved vertex."""
+        before the solved column enters the comparison, each as its n
+        columns with None at the solved vertex."""
         n, others = self.n, order[:-1]
         if 0 not in others:
             # Column 0 is the solved column: no comparison is decided.
-            return list(enumerate(_sign_patterns(n, others, placed)))
+            return list(_sign_patterns(n, others, placed))
         out = []
         signed = [(u, c, tuple(map(neg, c))) for u, c in zip(others, placed)]
         for x0 in signed[others.index(0)][1:]:
@@ -783,9 +758,9 @@ class _SignedGroup:
             choices = []
             for u, *pair in signed:
                 options = []
-                for bit, col in enumerate(pair):
+                for col in pair:
                     if not self._to_zero[u]:
-                        options.append((bit, col, None))
+                        options.append((col, None))
                         continue
                     low, tied = self._lowest(u, col)
                     if low < x0 or u == 0 and col != x0:
@@ -796,7 +771,7 @@ class _SignedGroup:
                         par = [-1 if x > 0 else 1 for x in col]
                         root[u], par[u] = u, 1
                         tie = tied, root, par
-                    options.append((bit, col, tie))
+                    options.append((col, tie))
                 if not options:
                     break
                 choices.append(options)
@@ -804,17 +779,15 @@ class _SignedGroup:
                 continue
             for combo in product(*choices):
                 cols: list = [None] * n
-                index = 0
                 ties = []
-                for u, (bit, col, tie) in zip(others, combo):
+                for u, (col, tie) in zip(others, combo):
                     cols[u] = col
-                    index = 2 * index + bit
                     if tie is not None:
                         ties.append(tie)
                 if not any(
                     self._smaller(cols, q, root, par) for tied, root, par in ties for q in tied
                 ):
-                    out.append((index, cols))
+                    out.append(cols)
         return out
 
 
@@ -927,13 +900,8 @@ class _Search:
             for v in comp:
                 self.comp_of[v] = ci
         self.comp_rows = [tuple(c) for c in dec.components]
-        self.iso_targets: list[list[int]] = []
-        if struct_prunes:
-            subs = [induced_subgraph(g, c) for c in dec.components]
-            self.iso_targets = [
-                [cj for cj in range(len(subs)) if is_isomorphic(subs[ci], subs[cj])]
-                for ci in range(len(subs))
-            ]
+        # Per component: the components isomorphic to it, ascending.
+        self.iso_targets = {ci: cls for cls in dec.types for ci in cls}
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
         # Per (allowed rows, relation system): the canonical candidates; per
@@ -950,10 +918,10 @@ class _Search:
                 terms = [(r, mask ^ 1 << r, (-1) ** (i + k - 1)) for i, r in enumerate(rows)]
                 self._laplace[k].append((mask, terms))
 
-        # Static placement order: smallest unconstrained pool first, so the
-        # relation constraints bite early; the last placed column is solved.
-        sizes = [len(self._pool(self.filtration_rows[v])) for v in range(n)]
-        self.order = sorted(range(n), key=lambda v: (sizes[v], v))
+        # Static placement order: fewest allowed rows first, so the relation
+        # constraints bite early (the unconstrained pool grows with the
+        # number of rows alone); the last placed column is solved.
+        self.order = sorted(range(n), key=lambda v: (len(self.filtration_rows[v]), v))
         # For each depth, the depths of the neighbours placed before it.
         self.neighbor_depths = [
             [k for k in range(depth) if g.has_edge(self.order[k], v)]
@@ -1026,32 +994,31 @@ class _Search:
     def run(self):
         """Yield every completed column tuple: leaf by leaf, each solution
         for column v with each sign pattern of the placed columns."""
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             yield ()
             return
-        for v, placed, solutions in self.leaves():
-            patterns = list(_sign_patterns(n, self.order, placed))
+        for v, placed, solutions, patterns in self.leaves():
             for cvec in solutions:
                 for cols in patterns:
                     cols[v] = cvec
                     yield tuple(cols)
 
     def leaves(self, group: _SignedGroup | None = None):
-        """Yield one (v, placed, solutions) per search leaf: v is the solved
-        vertex, placed the other columns in placement order with canonical
-        signs, and solutions the sorted choices for column v, closed under
-        negation.  The leaf's matrices are every solution combined with
-        every sign pattern of the placed columns.
+        """Yield one (v, placed, solutions, patterns) per search leaf: v is
+        the solved vertex, placed the other columns in placement order with
+        canonical signs, solutions the sorted choices for column v, closed
+        under negation, and patterns the sign patterns of the placed
+        columns, each as n columns with None at v (see ``_sign_patterns``).
+        The leaf's matrices are every solution combined with every pattern.
 
-        With ``group``, each leaf is (v, placed, solutions, patterns) and
-        holds every leader of the stream (see ``_SignedGroup``).  A placed
-        column of vertex 0 is kept only if it or its negation leads
+        Without ``group`` patterns holds every sign pattern.  With it, the
+        leaves hold every leader of the stream (see ``_SignedGroup``).  A
+        placed column of vertex 0 is kept only if it or its negation leads
         (``_SignedGroup.leads``).  Before the last column is solved, the
         leaf's sign patterns are compared with their images as far as the
-        placed columns decide (``_SignedGroup.patterns``); a leaf with no
-        pattern left is not solved, and its budget is not charged.  patterns
-        holds the (index, cols) pairs of the patterns left."""
+        placed columns decide (``_SignedGroup.patterns``), and patterns
+        holds those left; a leaf with no pattern left is not solved, and
+        its budget is not charged."""
         n = self.n
         if n == 0:
             return
@@ -1145,7 +1112,7 @@ class _Search:
         if not solutions:
             return None
         if group is None:
-            return v, tuple(placed), solutions
+            patterns = list(_sign_patterns(n, self.order, placed))
         return v, tuple(placed), solutions, patterns
 
     def _relation_system(self, depth: int, rows, placed) -> frozenset:
@@ -1303,19 +1270,18 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
     leaf_values = _make_leaf_values(search)
-    for v, placed, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
+    for v, _, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
         if check_structure:
             # Column signs never change a support, so one sign pattern
             # covers the whole leaf: the placed columns are checked once,
             # then column v of each solution.
-            cols = [None] * n
-            for u, w in zip(search.order, placed):
-                cols[u] = w
+            cols = patterns[0]
             seen = _check_block_structure(p, cols, degs, comp_of, n_comps, search.order[:-1])
             for cvec in solutions:
                 cols[v] = cvec
                 _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
-        for cols, values in leaf_values(placed, solutions, patterns):
+        for cols in patterns:
+            values = leaf_values(cols, solutions)
             # Within one sign pattern the smallest solution gives the
             # smallest column tuple; the reversed pairs keep it.
             firsts = dict(zip(reversed(values), reversed(solutions)))
@@ -1348,7 +1314,8 @@ def compute_spectrum_report(
     smaller on the columns that do not involve the solved vertex, compared
     in vertex order against the whole group (``_SignedGroup``), and a leaf
     with no such pattern is not solved.  That leaves the observed values
-    and the witnesses unchanged.  The comparisons that reach the solved
+    and the witnesses unchanged.  Each kept pattern is evaluated on its
+    own, against all of the leaf's solutions (``_make_leaf_values``).  The comparisons that reach the solved
     column are not carried on per solution, and when vertex 0 is the
     solved vertex nothing is pruned.  Aut(graph) is searched only while
     n! <= 5040; above that only the signs are used.

@@ -29,6 +29,8 @@ from nilgraph.spectra import (
     _make_charpoly_keys,
     _make_leaf_values,
     _Search,
+    _sign_patterns,
+    _SignedGroup,
     compute_spectrum_report,
 )
 
@@ -52,9 +54,9 @@ def _search(g: Graph, bound: int) -> _Search:
 
 def _leaf_matrices(leaf_values, leaf):
     """(column tuple, value) of every matrix of a leaf."""
-    v, placed, solutions = leaf
-    for cols, values in leaf_values(placed, solutions):
-        for cvec, value in zip(solutions, values):
+    v, _, solutions, patterns = leaf
+    for cols in patterns:
+        for cvec, value in zip(solutions, leaf_values(cols, solutions)):
             cols[v] = cvec
             yield tuple(cols), value
 
@@ -70,39 +72,48 @@ class TestEmptyAndSingleVertex:
         assert rep.observed == (2,)
         assert rep.to_json()["witnesses"] == {"2": [[-1]]}
         leaves = list(_search(empty_graph(1), 2).leaves())
-        assert leaves == [(0, (), [(-1,), (1,)])]
+        assert leaves == [(0, (), [(-1,), (1,)], [[None]])]
 
 
-LEAF_CASES = [pytest.param(e.graph, 1, 20, id=e.key) for e in CATALOG] + [
+LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + [
     # Every leaf of N32 at bound 2 and a five-vertex edgeless graph, which
     # no golden report covers, for the packed characteristic-polynomial key.
-    pytest.param(empty_graph(3), 2, None, id="N32-B2-all"),
-    pytest.param(empty_graph(5), 1, 20, id="N52"),
+    pytest.param(empty_graph(3), 2, None, False, id="N32-B2-all"),
+    pytest.param(empty_graph(5), 1, 20, False, id="N52"),
+] + [
+    # The kept sign patterns of the first leaves the report evaluates, with
+    # the symmetry group: the keyed evaluator on N42 and N32, the other on
+    # one_edge.
+    pytest.param(CATALOG_BY_KEY[key].graph, bound, 20, True, id=f"{key}-B{bound}-grouped")
+    for key, bound in (("N42", 1), ("N32", 2), ("one_edge", 1))
 ]
 
 
-@pytest.mark.parametrize("g, bound, limit", LEAF_CASES)
-def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit):
+@pytest.mark.parametrize("g, bound, limit, grouped", LEAF_CASES)
+def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit, grouped):
     """The first leaves of every catalog class at bound 1 (and the cases
     above): the leaf's matrices are its slice of the matrix stream, and each
-    value is the exact Reidemeister number, None where that is infinite."""
+    value is the exact Reidemeister number, None where that is infinite.
+    The grouped leaves hold only the kept patterns, so they are not a slice
+    of the stream."""
     p = Presentation.of(g)
     search = _search(g, bound)
     leaf_values = _make_leaf_values(search)
     stream = _search(g, bound).run()
     checked = 0
-    for leaf in islice(search.leaves(), limit):
-        # A leaf holds each solution with each sign pattern of n - 1 columns.
-        batch = list(islice(stream, len(leaf[2]) << (g.n - 1)))
+    for leaf in islice(search.leaves(_SignedGroup(g) if grouped else None), limit):
         pairs = list(_leaf_matrices(leaf_values, leaf))
-        assert sorted(cols for cols, _ in pairs) == sorted(batch)
+        if not grouped:
+            # A leaf holds each solution with each sign pattern of n - 1 columns.
+            batch = list(islice(stream, len(leaf[2]) << (g.n - 1)))
+            assert sorted(cols for cols, _ in pairs) == sorted(batch)
         for cols, value in pairs:
             m = IntMatrix.from_rows([[cols[j][i] for j in range(g.n)] for i in range(g.n)])
             # ExtNat encodes infinity as None, as the evaluator does.
             assert reidemeister_number(endo_from_matrix(p, m)).r.value == value, cols
             checked += 1
     assert checked > 0
-    if limit is None:
+    if limit is None and not grouped:
         assert next(stream, None) is None
 
 
@@ -133,9 +144,10 @@ def _packed_keys(bound, cols, order):
     n = len(cols)
     width = _charpoly_width(n, bound)
     v = order[-1]
-    leaf_keys = _make_charpoly_keys(order, width)
+    pattern_key = _make_charpoly_keys(order, width)
     out = []
-    for signed, base, coef in leaf_keys([cols[u] for u in order[:-1]]):
+    for signed in _sign_patterns(n, order[:-1], [cols[u] for u in order[:-1]]):
+        base, coef = pattern_key(signed)
         assert signed[v] is None
         signed[v] = cols[v]
         out.append((base + sum(map(mul, cols[v], coef)), _principal_minor_sums(signed)))

@@ -85,7 +85,7 @@ def _stream_index(key: str):
         g = CATALOG_BY_KEY[key].graph
         search = _Search(Presentation.of(g), 1, True, _Budget(None))
         leaves: dict = {}
-        for _, placed, solutions in search.leaves():
+        for _, placed, solutions, _ in search.leaves():
             mask = leaves.get(placed, 0)
             for x in solutions:
                 mask |= 1 << _code(x, 1)
@@ -220,10 +220,10 @@ def _check_leaf(search, group, signed, placed, solutions):
     smaller before column v enters the comparison, and every matrix of a
     dropped pattern has a smaller image."""
     n, v = search.n, search.order[-1]
-    kept = {index for index, _ in group.patterns(search.order, placed)}
-    for index, cols in enumerate(_sign_patterns(n, search.order[:-1], placed)):
+    kept = {tuple(cols) for cols in group.patterns(search.order, placed)}
+    for cols in _sign_patterns(n, search.order[:-1], placed):
         dropped = any(_decided_smaller(cols, v, pi, signs) for pi, signs in signed)
-        assert (index in kept) != dropped, (placed, index)
+        assert (tuple(cols) in kept) != dropped, (placed, cols)
         if dropped:
             for x in solutions:
                 cols[v] = x
@@ -250,12 +250,12 @@ def test_kept_matrices_hold_every_orbit_leader(key, bound):
     group = _SignedGroup(g)
     kept = set()
     for v, placed, solutions, patterns in search.leaves(group):
-        for _, cols in patterns:
+        for cols in patterns:
             for x in solutions:
                 cols[v] = x
                 kept.add(tuple(cols))
     assert leaders <= kept <= seen
-    for v, placed, solutions in search.leaves():
+    for v, placed, solutions, _ in search.leaves():
         _check_leaf(search, group, signed, placed, solutions)
 
 
@@ -271,7 +271,7 @@ def test_first_leaves_keep_every_orbit_leader(g):
     search = _Search(Presentation.of(g), 1, True, _Budget(None))
     group = _SignedGroup(g)
     signed = _signed_automorphisms(g)
-    for v, placed, solutions in islice(search.leaves(), 60):
+    for v, placed, solutions, _ in islice(search.leaves(), 60):
         _check_leaf(search, group, signed, placed, solutions)
 
 
@@ -292,10 +292,8 @@ def test_orbit_minimum_of_a_stream_matrix_is_kept(data):
     if search.order[-1] != 0:
         assert group.leads(least[0])
     own = _canonical_placed(search, least)
-    index = 0
-    for u, w in zip(search.order[:-1], own):
-        index = 2 * index + (least[u] != w)
-    assert index in {i for i, _ in group.patterns(search.order, own)}
+    pattern = [None if u == search.order[-1] else c for u, c in enumerate(least)]
+    assert pattern in group.patterns(search.order, own)
 
 
 def test_group_of_a_graph_over_the_cap_enumerates_no_permutations(monkeypatch):
