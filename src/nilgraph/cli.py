@@ -121,16 +121,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _load_endo(args, g: Graph):
-    p = Presentation.of(g)
-    data = _read_json(args.aut)
-    return endo_from_json(p, data)
-
-
-def cmd_reid(args) -> int:
+def _load_automorphism(args):
+    """(graph, endomorphism, its Reidemeister number) from the ``graph`` and
+    ``aut`` files of ``reid`` and ``oracle``, or the exit code after the
+    error is reported."""
     try:
         g = _read_graph(args.graph)
-        endo = _load_endo(args, g)
+        endo = endo_from_json(Presentation.of(g), _read_json(args.aut))
     except (OSError, GraphFormatError, json.JSONDecodeError) as exc:
         return _fail(EXIT_PARSE, str(exc))
     except RelationViolation as exc:
@@ -138,9 +135,16 @@ def cmd_reid(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_PARSE, str(exc))
     try:
-        result = reidemeister_number(endo)
+        return g, endo, reidemeister_number(endo)
     except NotAutomorphism as exc:
         return _fail(EXIT_NOT_AUT, str(exc))
+
+
+def cmd_reid(args) -> int:
+    loaded = _load_automorphism(args)
+    if isinstance(loaded, int):
+        return loaded
+    result = loaded[2]
     if args.output == "json":
         print(_dump(result.to_json()))
     else:
@@ -226,19 +230,10 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        endo = _load_endo(args, g)
-    except (OSError, GraphFormatError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except RelationViolation as exc:
-        return _fail(EXIT_RELATION, f"{exc} (edge {exc.edge})")
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
-        result = reidemeister_number(endo)
-    except NotAutomorphism as exc:
-        return _fail(EXIT_NOT_AUT, str(exc))
+    loaded = _load_automorphism(args)
+    if isinstance(loaded, int):
+        return loaded
+    g, endo, result = loaded
     if result.r.is_infinite:
         if args.output == "json":
             print(_dump({"formula": "inf", "oracle": None, "ok": True}))

@@ -121,6 +121,12 @@ def _prime_factors(v: int) -> dict[int, int]:
     return out
 
 
+def _mobius(d: int) -> int:
+    """The Moebius function of d >= 1."""
+    exponents = _prime_factors(d).values()
+    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
+
+
 def _divisors(v: int) -> list[int]:
     """The positive divisors of v >= 1, ascending."""
     divs = [1]
@@ -323,7 +329,7 @@ class PartialProductsForm(SpectrumForm):
     def contains(self, v: int) -> bool:
         if v < 1:
             return False
-        return any(_iterated_contains(self.base, v, i) for i in range(1, self.k + 1))
+        return any(_product_contains((self.base,) * i, v) for i in range(1, self.k + 1))
 
     def render(self) -> str:
         return f"∪_(i=1..{self.k}) ({self.base.render()})^i"
@@ -343,14 +349,6 @@ def _product_contains(forms: tuple[SpectrumForm, ...], v: int) -> bool:
         return forms[0].contains(v)
     head, rest = forms[0], forms[1:]
     return any(head.contains(d) and _product_contains(rest, v // d) for d in _divisors(v))
-
-
-def _iterated_contains(base: SpectrumForm, v: int, i: int) -> bool:
-    if i == 1:
-        return base.contains(v)
-    return any(
-        base.contains(d) and _iterated_contains(base, v // d, i - 1) for d in _divisors(v)
-    )
 
 
 def spectrum_membership(form: SpectrumForm, v) -> bool:
@@ -858,9 +856,10 @@ class _Search:
     in play is invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
     matrix has coprime maximal minors), each a Laplace expansion along the
-    new column over terms built once.  The node budget is charged the pool
-    size per placed column and 2 (2B+1)^(k-1) per last column on k rows,
-    whatever the solve enumerates and whether it was solved before.
+    new column over terms built once.  The node budget is charged the size
+    of the unconstrained pool per placed column on k rows, before any pool
+    is built, and 2 (2B+1)^(k-1) per last column on k rows, whatever the
+    solve enumerates and whether it was solved before.
     ``_make_leaf_values`` evaluates leaves.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
@@ -909,6 +908,14 @@ class _Search:
         # ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, ...], tuple] = {}
+        # Per number of rows k: the size of the unconstrained pool on k rows,
+        # the nonzero primitive vectors of the box up to sign (Moebius
+        # inversion over the gcd d of the entries), charged before any pool
+        # is built.
+        self._pool_sizes = [
+            sum(_mobius(d) * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1)) // 2
+            for k in range(n + 1)
+        ]
         # Laplace expansion along the new column of each minor of k placed
         # columns: per row mask, the terms (row r, mask without r, sign).
         self._laplace: list[list] = [[] for _ in range(n)]
@@ -1057,11 +1064,8 @@ class _Search:
                 if leaf is not None:
                     yield leaf
             else:
-                pool = self._pool(rows)
-                self.budget.spend(len(pool))
-                system = self._relation_system(depth, rows, placed)
-                if system:
-                    pool = self._pool(rows, system)
+                self.budget.spend(self._pool_sizes[len(rows)])
+                pool = self._pool(rows, self._relation_system(depth, rows, placed))
                 if v == 0 and group is not None:
                     pool = [
                         vec
@@ -1216,16 +1220,12 @@ def default_bound(g: Graph) -> int:
     return 1
 
 
-def _check_block_structure(
-    p: Presentation, cols, degs, comp_of, n_comps, columns=None, seen=None
-) -> dict:
-    """Check that the given columns (all by default) respect the degree
-    filtration and, with several components, that each component maps into
-    one component, injectively.  ``seen`` maps the components of columns
-    checked before to their targets; returns that map with these columns."""
+def _check_block_structure(p: Presentation, cols, degs, comp_of, n_comps) -> None:
+    """Check that the columns respect the degree filtration and, with
+    several components, that each component maps into one component,
+    injectively.  Only the supports of the columns are read."""
     n = p.n
-    columns = range(n) if columns is None else columns
-    for c in columns:
+    for c in range(n):
         dc = degs[c]
         col = cols[c]
         for r in range(n):
@@ -1233,9 +1233,9 @@ def _check_block_structure(
                 raise SpectrumConsistencyError(
                     f"degree filtration violated at entry ({r}, {c})"
                 )
-    seen = {} if seen is None else dict(seen)
     if n_comps > 1:
-        for c in columns:
+        seen: dict[int, int] = {}
+        for c in range(n):
             ci = comp_of[c]
             if ci is None:
                 continue
@@ -1251,15 +1251,17 @@ def _check_block_structure(
                 )
         if len(set(seen.values())) != len(seen):
             raise SpectrumConsistencyError("component assignment is not injective")
-    return seen
 
 
 def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int | None) -> dict:
     """Walk the bounded search of ``compute_spectrum_report`` and evaluate
     its leaves: each finite value observed, with the lexicographically
-    smallest column tuple that realizes it.  The search and its solved
-    column systems live only in this call, so an error the report raises
-    afterwards does not keep them alive."""
+    smallest column tuple that realizes it.  The block structure is checked
+    once per leaf (``_check_block_structure``), and the evaluator is built
+    at the first leaf, so a search that runs out of budget before it does
+    not build one.  The search and its solved column systems live only in
+    this call, so an error the report raises afterwards does not keep them
+    alive."""
     n = p.n
     search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     if n == 0:
@@ -1269,17 +1271,17 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     check_structure = n_comps > 1 or len(set(degs)) > 1
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
-    leaf_values = _make_leaf_values(search)
+    leaf_values = None
     for v, _, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
+        if leaf_values is None:
+            leaf_values = _make_leaf_values(search)
         if check_structure:
-            # Column signs never change a support, so one sign pattern
-            # covers the whole leaf: the placed columns are checked once,
-            # then column v of each solution.
+            # Signs never change a support and no solution is zero, so the
+            # union of the solutions' supports as column v passes exactly
+            # when every matrix of the leaf does.
             cols = patterns[0]
-            seen = _check_block_structure(p, cols, degs, comp_of, n_comps, search.order[:-1])
-            for cvec in solutions:
-                cols[v] = cvec
-                _check_block_structure(p, cols, degs, comp_of, n_comps, (v,), seen)
+            cols[v] = [any(x[r] for x in solutions) for r in range(n)]
+            _check_block_structure(p, cols, degs, comp_of, n_comps)
         for cols in patterns:
             values = leaf_values(cols, solutions)
             # Within one sign pattern the smallest solution gives the
@@ -1315,10 +1317,11 @@ def compute_spectrum_report(
     in vertex order against the whole group (``_SignedGroup``), and a leaf
     with no such pattern is not solved.  That leaves the observed values
     and the witnesses unchanged.  Each kept pattern is evaluated on its
-    own, against all of the leaf's solutions (``_make_leaf_values``).  The comparisons that reach the solved
-    column are not carried on per solution, and when vertex 0 is the
-    solved vertex nothing is pruned.  Aut(graph) is searched only while
-    n! <= 5040; above that only the signs are used.
+    own, against all of the leaf's solutions (``_make_leaf_values``).  The
+    comparisons that reach the solved column are not carried on per
+    solution, and when vertex 0 is the solved vertex nothing is pruned.
+    Aut(graph) is searched only while n! <= 5040; above that only the
+    signs are used.
     """
     if bound is None:
         bound = default_bound(g)

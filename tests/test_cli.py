@@ -84,7 +84,46 @@ class TestAnalyze:
         assert main(["analyze", write("g.json", graph)]) == 2
 
 
-class TestReid:
+class LoadErrors:
+    """Exit codes of a subcommand that reads a graph and an automorphism;
+    subclasses name the subcommand."""
+
+    command: str
+
+    def test_relation_violation_exit_3(self, write, capsys):
+        g = write("g.json", P3)
+        a = write("a.json", {"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]})
+        assert main([self.command, g, a]) == 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.9, 1], [1, 0]], [["1", 1], [1, 0]], [[True, 1], [1, 0]], 5, [1, 0]],
+        ids=["float", "string", "bool", "not-a-list", "not-rows"],
+    )
+    def test_non_integer_entry_exit_2(self, write, capsys, matrix):
+        g = write("g.json", N22)
+        a = write("a.json", {"matrix": matrix})
+        assert main([self.command, g, a]) == 2
+        assert "list of rows of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "images", [[{"z": [1, 0.0]}, {"z": [0, 1]}], [{"z": 5}, {"z": [0, 1]}], 5],
+        ids=["float", "not-a-list", "images-not-a-list"],
+    )
+    def test_non_integer_image_exit_2(self, write, capsys, images):
+        g = write("g.json", N22)
+        a = write("a.json", {"images": images})
+        assert main([self.command, g, a]) == 2
+
+    def test_not_automorphism_exit_4(self, write, capsys):
+        g = write("g.json", N22)
+        a = write("a.json", {"matrix": [[2, 0], [0, 1]]})
+        assert main([self.command, g, a]) == 4
+
+
+class TestReid(LoadErrors):
+    command = "reid"
+
     def test_rank2_example(self, write, capsys):
         g = write("g.json", N22)
         a = write("a.json", {"matrix": [[1, 1], [1, 0]]})
@@ -104,36 +143,6 @@ class TestReid:
         a = write("a.json", {"matrix": [[1, 1], [1, 0]]})
         code, out = run(capsys, "reid", g, a, "--output", "json")
         assert json.loads(out) == {"r1": 1, "r2": 2, "r": 2}
-
-    def test_relation_violation_exit_3(self, write, capsys):
-        g = write("g.json", P3)
-        a = write("a.json", {"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]})
-        assert main(["reid", g, a]) == 3
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [[[1.9, 1], [1, 0]], [["1", 1], [1, 0]], [[True, 1], [1, 0]], 5, [1, 0]],
-        ids=["float", "string", "bool", "not-a-list", "not-rows"],
-    )
-    def test_non_integer_entry_exit_2(self, write, capsys, matrix):
-        g = write("g.json", N22)
-        a = write("a.json", {"matrix": matrix})
-        assert main(["reid", g, a]) == 2
-        assert "list of rows of integers" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "images", [[{"z": [1, 0.0]}, {"z": [0, 1]}], [{"z": 5}, {"z": [0, 1]}], 5],
-        ids=["float", "not-a-list", "images-not-a-list"],
-    )
-    def test_non_integer_image_exit_2(self, write, capsys, images):
-        g = write("g.json", N22)
-        a = write("a.json", {"images": images})
-        assert main(["reid", g, a]) == 2
-
-    def test_not_automorphism_exit_4(self, write, capsys):
-        g = write("g.json", N22)
-        a = write("a.json", {"matrix": [[2, 0], [0, 1]]})
-        assert main(["reid", g, a]) == 4
 
     def test_mirror_path_is_infinite(self, write, capsys):
         # the plain mirror fixes the middle vertex, so the vertex layer has
@@ -229,7 +238,9 @@ class TestVerifyTables:
         assert "error: argument --bound: must be >= 1, got 0" in err
 
 
-class TestOracle:
+class TestOracle(LoadErrors):
+    command = "oracle"
+
     def test_match(self, write, capsys):
         g = write("g.json", N22)
         a = write("a.json", {"matrix": [[1, 1], [1, 0]]})

@@ -22,6 +22,7 @@ from nilgraph.morphism import endo_from_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     Z1,
+    SearchBudgetExceeded,
     SpectrumConsistencyError,
     _Budget,
     _charpoly_width,
@@ -230,25 +231,48 @@ class TestBlockStructureGuard:
         with pytest.raises(SpectrumConsistencyError, match="not injective"):
             self._check(g, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)))
 
-    def test_solved_column_against_placed_columns(self):
-        """The search checks the placed columns once per leaf, then only the
-        solved column against the components they map."""
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        dec = connected_components(g)
-        comp_of = [0, 0, 1, 1]
-        assert [set(c) for c in dec.components] == [{0, 1}, {2, 3}]
-        p, degs = Presentation.of(g), g.degrees()
-        cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), None]
-        seen = _check_block_structure(p, cols, degs, comp_of, 2, (0, 1, 2))
-        assert seen == {0: 0, 1: 1}
-        cols[3] = (1, 0, 0, 0)
-        with pytest.raises(SpectrumConsistencyError, match="two different components"):
-            _check_block_structure(p, cols, degs, comp_of, 2, (3,), seen)
-        cols = [(0, 0, 1, 0), (0, 0, 0, 1), None, None]
-        seen = _check_block_structure(p, cols, degs, comp_of, 2, (0, 1))
-        cols[2] = (0, 0, 0, 1)
-        with pytest.raises(SpectrumConsistencyError, match="not injective"):
-            _check_block_structure(p, cols, degs, comp_of, 2, (2,), seen)
+    # Column v = 3 of the leaves below: the placed columns map each edge of
+    # two_edges to itself, so the solutions must stay on rows 2 and 3.
+    INSIDE = [(0, 0, -1, -1), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 1)]
+
+    @staticmethod
+    def _report_on_leaf(monkeypatch, solutions):
+        """The report of two_edges on one leaf with the given solutions."""
+        placed = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+        def leaves(self, group=None):
+            yield 3, placed, solutions, [[*placed, None]]
+
+        monkeypatch.setattr(_Search, "leaves", leaves)
+        return compute_spectrum_report(Graph.from_edges(4, [(0, 1), (2, 3)]), 1)
+
+    def test_leaf_inside_one_component_passes(self, monkeypatch):
+        assert self._report_on_leaf(monkeypatch, self.INSIDE).observed == ()
+
+    @pytest.mark.parametrize("at", range(4))
+    @pytest.mark.parametrize("outside", [(0, 1, 0, 0), (1, 0, 0, 1)])
+    def test_leaf_with_one_solution_outside_raises(self, monkeypatch, at, outside):
+        """The leaf is checked once, on the union of its solutions' supports:
+        one solution that reaches into the other component fails it,
+        wherever it stands."""
+        solutions = self.INSIDE[:]
+        solutions[at] = outside
+        with pytest.raises(SpectrumConsistencyError):
+            self._report_on_leaf(monkeypatch, solutions)
+
+    def test_guard_fires_through_the_report(self, monkeypatch):
+        """The walk of P3 builds its rows from the true degrees, so it still
+        finds leaves; the report checks them against degrees with the middle
+        vertex's degree moved to vertex 0."""
+        init = _Search.__init__
+
+        def wrong_degrees(self, *args):
+            init(self, *args)
+            self.degs = [2, 1, 1]
+
+        monkeypatch.setattr(_Search, "__init__", wrong_degrees)
+        with pytest.raises(SpectrumConsistencyError, match="degree filtration violated"):
+            compute_spectrum_report(path_graph(3), 2)
 
     def test_automorphism_passes(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -256,6 +280,18 @@ class TestBlockStructureGuard:
 
 
 class TestReportGuards:
+    def test_budget_is_charged_before_the_first_pool(self):
+        """The first column of 13 isolated vertices has a pool of (3^13 - 1)/2
+        columns; the budget runs out before it or the evaluator is built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchBudgetExceeded):
+                compute_spectrum_report(empty_graph(13), node_budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
     def test_value_outside_closed_form(self, monkeypatch):
         # K2 realizes 1, 2, 3 at bound 1; claim the spectrum is {2, inf}
         monkeypatch.setattr(spectra, "spectrum_by_decomposition", lambda g: Z1)

@@ -1,8 +1,8 @@
 """The exact solve of the search's linear constraints: the column stream of
 the bounded search against a recorded golden, the solve against a
 brute-force scan of the box, the reused column systems and the packed
-last-column filter against fresh solves, the budget of whole walks, and
-``rank`` through the shared elimination.
+last-column filter against fresh solves, the budget of whole walks and of
+one pool, and ``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
@@ -262,6 +262,18 @@ def test_walks_charge_the_recorded_budget():
                 pass
             got.append(10**18 - budget.left)
         assert tuple(got) == want, (key, bound)
+
+
+def test_pool_size_formula_matches_the_pool():
+    """The size the walk charges for a placed column before building its
+    pool is the size of the pool, for every n <= 5, bound <= 4 and number
+    of allowed rows."""
+    for n in range(1, 6):
+        for bound in range(1, 5):
+            search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+            for k in range(n + 1):
+                rows = tuple(range(n - k, n))
+                assert search._pool_sizes[k] == len(search._pool(rows)), (n, bound, k)
 
 
 def _rank_reference(rows, ncols):
