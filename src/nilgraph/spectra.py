@@ -674,6 +674,12 @@ class _SignedGroup:
     and the pi that reach it.  Only those pi are compared on further
     columns.  The tables are keyed by (u, c), not by group element, and
     live as long as this object.
+
+    A comparison reads the columns in vertex order and stops at the first
+    one not placed yet, so one decided on the placed columns of a search
+    node is decided the same way at every node below it.  The walk runs
+    the test at every node and carries what survives down the tree
+    (``extend``), the stabilizer chain of lex-leader pruning (McKay 1998).
     """
 
     def __init__(self, g: Graph):
@@ -700,17 +706,19 @@ class _SignedGroup:
         psi with pi(0) = 0."""
         return self._lowest(0, c)[0] == c
 
-    def _smaller(self, cols, q, root, par) -> bool:
-        """Some image under q = pi^-1, with signs in the classes root, par,
-        is smaller than the matrix with columns ``cols``, decided on columns
-        1, 2, ... before one that is None enters the comparison."""
+    def _smaller(self, cols, q, root, par) -> bool | None:
+        """Whether some image under q = pi^-1, with signs in the classes
+        root, par, is smaller than the matrix with columns ``cols``, compared
+        on columns 1, 2, ...: None (undecided) when a column that is None
+        enters the comparison before it is decided.  A decision never
+        changes when further columns are placed."""
         n = self.n
         copied = False
         for k in range(1, n):
             w = q[k]
             src, dst = cols[w], cols[k]
             if src is None or dst is None:
-                return False
+                return None
             rw, pw = root[w], par[w]
             for r in range(n):
                 i = q[r]
@@ -736,57 +744,74 @@ class _SignedGroup:
                     return y < x
         return False
 
+    def extend(self, state, u: int, c: tuple[int, ...]):
+        """The state of a search node one column deeper: ``state`` (() at
+        the root) with column c of vertex u placed, in both signs.
+
+        Until column 0 is placed the state is the tuple of placed (u, c),
+        since no comparison can start.  From then on it is the list of
+        surviving branches (x0, cols, pending): x0 the sign of column 0 (a
+        column that leads, ``leads``), cols the n signed columns so far
+        (None where not placed), and pending the comparisons (q, root, par)
+        that ``_smaller`` has not decided yet.  Placing a column settles
+        its column-0 images by table lookups (``_lowest``): an image below
+        x0 drops the branch, and a tie adds its pi to pending, with the
+        sign classes it forces (s_i = -sign(col[i]) s_u).  Then every
+        pending comparison is re-run: a decided "smaller" drops the
+        branch, and an undecided one is kept for the next column.  An empty
+        list means that no sign pattern of the placed columns can hold a
+        leader, so neither can any matrix below the node."""
+        if isinstance(state, tuple):
+            state += ((u, c),)
+            if u != 0:
+                return state
+            steps = state
+            state = [(x0, [None] * self.n, []) for x0 in (c, tuple(map(neg, c))) if self.leads(x0)]
+        else:
+            steps = ((u, c),)
+        for u, c in steps:
+            grown = []
+            for x0, cols, pending in state:
+                for col in (c, tuple(map(neg, c))):
+                    checks = pending
+                    if self._to_zero[u]:
+                        if u == 0 and col != x0:
+                            continue
+                        low, tied = self._lowest(u, col)
+                        if low < x0:
+                            continue
+                        if low == x0:
+                            root = [u if x else i for i, x in enumerate(col)]
+                            par = [-1 if x > 0 else 1 for x in col]
+                            root[u], par[u] = u, 1
+                            checks = pending + [(q, root, par) for q in tied]
+                    signed = cols[:]
+                    signed[u] = col
+                    left = []
+                    for check in checks:
+                        smaller = self._smaller(signed, *check)
+                        if smaller:
+                            break
+                        if smaller is None:
+                            left.append(check)
+                    else:
+                        grown.append((x0, signed, left))
+            state = grown
+        return state
+
     def patterns(self, order, placed) -> list[list]:
         """The sign patterns of a leaf's placed columns (in placement order
         ``order``, the solved vertex last) that no image makes smaller
         before the solved column enters the comparison, each as its n
-        columns with None at the solved vertex."""
-        n, others = self.n, order[:-1]
-        if 0 not in others:
+        columns with None at the solved vertex: ``extend`` folded over the
+        placed columns."""
+        state = ()
+        for u, c in zip(order, placed):
+            state = self.extend(state, u, c)
+        if isinstance(state, tuple):
             # Column 0 is the solved column: no comparison is decided.
-            return list(_sign_patterns(n, others, placed))
-        out = []
-        signed = [(u, c, tuple(map(neg, c))) for u, c in zip(others, placed)]
-        for x0 in signed[others.index(0)][1:]:
-            if not self.leads(x0):
-                continue
-            # Per placed column u, the signs whose column-0 images are not
-            # below x0.  A tie leaves the pi that reach it to further
-            # columns, with the sign classes it forces: s_i = -sign(c[i]) s_u.
-            choices = []
-            for u, *pair in signed:
-                options = []
-                for col in pair:
-                    if not self._to_zero[u]:
-                        options.append((col, None))
-                        continue
-                    low, tied = self._lowest(u, col)
-                    if low < x0 or u == 0 and col != x0:
-                        continue
-                    tie = None
-                    if low == x0:
-                        root = [u if x else i for i, x in enumerate(col)]
-                        par = [-1 if x > 0 else 1 for x in col]
-                        root[u], par[u] = u, 1
-                        tie = tied, root, par
-                    options.append((col, tie))
-                if not options:
-                    break
-                choices.append(options)
-            if len(choices) < len(signed):
-                continue
-            for combo in product(*choices):
-                cols: list = [None] * n
-                ties = []
-                for u, (col, tie) in zip(others, combo):
-                    cols[u] = col
-                    if tie is not None:
-                        ties.append(tie)
-                if not any(
-                    self._smaller(cols, q, root, par) for tied, root, par in ties for q in tied
-                ):
-                    out.append(cols)
-        return out
+            return list(_sign_patterns(self.n, order, placed))
+        return [cols for _, cols, _ in state]
 
 
 def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
@@ -869,10 +894,11 @@ class _Search:
     since psi preserves the edge lattice.  So the lexicographically smallest
     matrix with a given value (columns compared in vertex order) is the
     smallest of its orbit, a *leader* (``_SignedGroup``).  ``leaves`` with
-    the group drops what cannot hold a leader: the columns of vertex 0 that
-    lead in neither sign, during the walk, and at each leaf, before the last
-    column is solved, every sign pattern that some image already makes
-    smaller on the placed columns.  ``run`` streams every matrix.
+    the group drops what cannot hold a leader.  Each node carries the sign
+    patterns of its placed columns that no image makes smaller on them
+    (``_SignedGroup.extend``), and a node with none left is cut with its
+    subtree, which is neither walked nor charged.  ``run`` streams every
+    matrix.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
@@ -908,6 +934,8 @@ class _Search:
         # ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple[int, ...], tuple] = {}
+        # Per allowed rows: the slots of the non-edges in a relation row.
+        self._relation_slots: dict[tuple[int, ...], list[tuple]] = {}
         # Per number of rows k: the size of the unconstrained pool on k rows,
         # the nonzero primitive vectors of the box up to sign (Moebius
         # inversion over the gcd d of the entries), charged before any pool
@@ -1019,13 +1047,14 @@ class _Search:
         The leaf's matrices are every solution combined with every pattern.
 
         Without ``group`` patterns holds every sign pattern.  With it, the
-        leaves hold every leader of the stream (see ``_SignedGroup``).  A
-        placed column of vertex 0 is kept only if it or its negation leads
-        (``_SignedGroup.leads``).  Before the last column is solved, the
-        leaf's sign patterns are compared with their images as far as the
-        placed columns decide (``_SignedGroup.patterns``), and patterns
-        holds those left; a leaf with no pattern left is not solved, and
-        its budget is not charged."""
+        leaves hold every leader of the stream (see ``_SignedGroup``).  The
+        walk carries a group state down the tree (``_SignedGroup.extend``):
+        the sign patterns of the placed columns that no image makes smaller
+        as far as those columns decide, with the comparisons still open.  A
+        placed column whose state has no pattern left is skipped with its
+        subtree, unwalked and uncharged, so every leaf keeps a pattern, and
+        patterns holds those of its node.  When v = 0 no comparison starts,
+        and every pattern is kept."""
         n = self.n
         if n == 0:
             return
@@ -1035,7 +1064,8 @@ class _Search:
         minor_stack[0][0] = 1
         target: list[int | None] = [None] * len(self.comp_rows)
         used: set[int] = set()
-        yield from self._place(0, placed, minor_stack, target, used, group)
+        state = None if group is None else ()
+        yield from self._place(0, placed, minor_stack, target, used, group, state)
 
     def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
         """Minors of k placed columns from those of k-1, plus their gcd."""
@@ -1051,7 +1081,7 @@ class _Search:
             g = gcd(g, acc)
         return table, g
 
-    def _place(self, depth: int, placed, minor_stack, target, used, group):
+    def _place(self, depth: int, placed, minor_stack, target, used, group, state):
         n = self.n
         v = self.order[depth]
         last = depth == n - 1
@@ -1060,48 +1090,45 @@ class _Search:
                 target[choice[0]] = choice[1]
                 used.add(choice[1])
             if last:
-                leaf = self._solve_last(v, rows, placed, minor_stack[-1], group)
+                leaf = self._solve_last(v, rows, placed, minor_stack[-1], state)
                 if leaf is not None:
                     yield leaf
             else:
                 self.budget.spend(self._pool_sizes[len(rows)])
                 pool = self._pool(rows, self._relation_system(depth, rows, placed))
-                if v == 0 and group is not None:
-                    pool = [
-                        vec
-                        for vec in pool
-                        if group.leads(vec) or group.leads(tuple(map(neg, vec)))
-                    ]
                 for vec in pool:
                     table, g = self._extend_minors(minor_stack[-1], vec, depth + 1)
                     if g != 1:
                         continue
+                    below = state
+                    if group is not None:
+                        below = group.extend(state, v, vec)
+                        if not below:
+                            continue  # no leader below this node
                     placed.append(vec)
                     minor_stack.append(table)
-                    yield from self._place(depth + 1, placed, minor_stack, target, used, group)
+                    yield from self._place(depth + 1, placed, minor_stack, target, used, group, below)
                     minor_stack.pop()
                     placed.pop()
             if choice is not None:
                 target[choice[0]] = None
                 used.discard(choice[1])
 
-    def _solve_last(self, v: int, rows, placed, minors_top, group=None) -> tuple | None:
+    def _solve_last(self, v: int, rows, placed, minors_top, state=None) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed box,
         together with its relation constraints; returns the leaf (see
-        ``leaves``), or None without solutions or sign patterns.  Without
-        relation rows the pool of the box is filtered by one packed dot
-        product (``_unit_solutions``).  With them the system and the g row
-        are solved afresh: g changes from leaf to leaf, so such a system
-        rarely repeats and is not kept."""
+        ``leaves``), or None without solutions.  The sign patterns are those
+        of the group state of the leaf's node (``_SignedGroup.extend``), or
+        all of them without the group or when v = 0.  Without relation rows
+        the pool of the box is filtered by one packed dot product
+        (``_unit_solutions``).  With them the system and the g row are
+        solved afresh: g changes from leaf to leaf, so such a system rarely
+        repeats and is not kept."""
         n = self.n
         full = (1 << n) - 1
         g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
-        if group is not None:
-            patterns = group.patterns(self.order, placed)
-            if not patterns:
-                return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
         system = self._relation_system(n - 1, rows, placed)
         if system:
@@ -1115,30 +1142,41 @@ class _Search:
             solutions = self._unit_solutions(rows, g)
         if not solutions:
             return None
-        if group is None:
+        if state is None or v == 0:
             patterns = list(_sign_patterns(n, self.order, placed))
+        else:
+            patterns = [cols[:] for _, cols, _ in state]
         return v, tuple(placed), solutions, patterns
 
     def _relation_system(self, depth: int, rows, placed) -> frozenset:
         """The edge-relation constraints on the column placed at ``depth``:
         u[a] x[b] - u[b] x[a] = 0 for each placed neighbour column u and
         each non-edge (a, b), as the set of distinct nonzero rows (tuples)
-        of coefficients on ``rows`` followed by the right-hand side 0."""
+        of coefficients on ``rows`` followed by the right-hand side 0.  The
+        slots (ja, jb) of the non-edges that meet ``rows`` are found once
+        per allowed rows; the others give only zero rows."""
         depths = self.neighbor_depths[depth]
         if not depths:
             return frozenset()
-        slot = {r: j for j, r in enumerate(rows)}
-        pairs = [(slot.get(a), slot.get(b), a, b) for a, b in self.nonedges]
+        pairs = self._relation_slots.get(rows)
+        if pairs is None:
+            slot = {r: j for j, r in enumerate(rows)}
+            pairs = self._relation_slots[rows] = [
+                (slot.get(a), slot.get(b), a, b) for a, b in self.nonedges if a in slot or b in slot
+            ]
+        width = len(rows) + 1
         distinct = set()
         for k in depths:
             u = placed[k]
             for ja, jb, a, b in pairs:
-                row = [0] * (len(rows) + 1)
-                if jb is not None:
-                    row[jb] = u[a]
-                if ja is not None:
-                    row[ja] = -u[b]
-                if any(row):
+                x = 0 if jb is None else u[a]
+                y = 0 if ja is None else u[b]
+                if x or y:
+                    row = [0] * width
+                    if jb is not None:
+                        row[jb] = x
+                    if ja is not None:
+                        row[ja] = -y
                     distinct.add(tuple(row))
         return frozenset(distinct)
 
@@ -1314,9 +1352,10 @@ def compute_spectrum_report(
     R, and the smallest matrix with a given value is the smallest of its
     orbit.  So a leaf's sign pattern is evaluated only if no such image is
     smaller on the columns that do not involve the solved vertex, compared
-    in vertex order against the whole group (``_SignedGroup``), and a leaf
-    with no such pattern is not solved.  That leaves the observed values
-    and the witnesses unchanged.  Each kept pattern is evaluated on its
+    in vertex order against the whole group (``_SignedGroup``).  The test
+    runs at every node of the search, on its placed columns, and a node
+    with no pattern left is cut with its subtree.  That leaves the observed
+    values and the witnesses unchanged.  Each kept pattern is evaluated on its
     own, against all of the leaf's solutions (``_make_leaf_values``).  The
     comparisons that reach the solved column are not carried on per
     solution, and when vertex 0 is the solved vertex nothing is pruned.

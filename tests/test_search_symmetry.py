@@ -1,8 +1,9 @@
 """The symmetry reduction of the spectrum report: conjugation by a signed
 graph automorphism keeps the matrix stream and R, the leader columns of
 vertex 0 against their definition, the sign patterns the search keeps
-against every orbit leader, and the pruned report against a report built
-by brute force from the whole matrix stream."""
+against every orbit leader, the leaves of the walk that cuts dead nodes
+against a brute-force pass over every leaf, and the pruned report against
+a report built by brute force from the whole matrix stream."""
 
 from itertools import islice, permutations, product
 from time import perf_counter
@@ -60,6 +61,8 @@ def _r(p, cols):
 # ---------------------------------------------------------------------------
 
 _STREAMS: dict = {}
+# The graphs whose streams are indexed: the catalog and C5.
+_INDEXED = {**{key: e.graph for key, e in CATALOG_BY_KEY.items()}, "C5": cycle_graph(5)}
 
 
 def _code(col, bound: int) -> int:
@@ -76,13 +79,13 @@ def _decode(code: int, n: int, bound: int) -> tuple[int, ...]:
 
 
 def _stream_index(key: str):
-    """(search, leaves) of a catalog graph at bound 1: the leaves map the
-    canonical placed columns to the bit set of the solved columns (by
+    """(search, leaves) of a graph of ``_INDEXED`` at bound 1: the leaves
+    map the canonical placed columns to the bit set of the solved columns (by
     ``_code``).  A column tuple is in the matrix stream exactly when its
     placed columns, up to sign, and its solved column are those of a leaf;
     a 10M-matrix stream indexes in about 40k leaves."""
     if key not in _STREAMS:
-        g = CATALOG_BY_KEY[key].graph
+        g = _INDEXED[key]
         search = _Search(Presentation.of(g), 1, True, _Budget(None))
         leaves: dict = {}
         for _, placed, solutions, _ in search.leaves():
@@ -273,6 +276,54 @@ def test_first_leaves_keep_every_orbit_leader(g):
     signed = _signed_automorphisms(g)
     for v, placed, solutions, _ in islice(search.leaves(), 60):
         _check_leaf(search, group, signed, placed, solutions)
+
+
+_KEPT: dict = {}
+
+
+def _reference_kept(order, signed, leaves) -> dict:
+    """The leaves (canonical placed columns -> solution mask, as
+    ``_stream_index`` holds them) that keep a sign pattern under
+    ``_decided_smaller``, each with its solution mask and kept patterns.
+    The result depends only on the arguments, so a graph with the same walk
+    and group as one checked before (K4 and N42) reads it back."""
+    key = tuple(order), tuple(signed), tuple(leaves.items())
+    if key not in _KEPT:
+        n, v, others = len(order), order[-1], order[:-1]
+        signed = list(signed)
+        want = {}
+        for placed, mask in leaves.items():
+            kept = set()
+            for cols in _sign_patterns(n, others, placed):
+                for j, (pi, signs) in enumerate(signed):
+                    if _decided_smaller(cols, v, pi, signs):
+                        # Neighbouring patterns tend to fall to the same
+                        # image: try it first on the next one.
+                        signed.insert(0, signed.pop(j))
+                        break
+                else:
+                    kept.add(tuple(cols))
+            if kept:
+                want[placed] = mask, kept
+        _KEPT[key] = want
+    return _KEPT[key]
+
+
+@pytest.mark.parametrize("key", [k for k, e in CATALOG_BY_KEY.items() if e.graph.n == 4] + ["C5"])
+def test_grouped_walk_yields_every_leaf_with_a_kept_pattern(key):
+    """Every leaf of the four-vertex classes and C5 at bound 1: the walk
+    with the group yields exactly the leaves of the walk without it that
+    keep a sign pattern under the brute-force reference, with the same
+    solutions and patterns.  So no leaf under a node that the walk cuts
+    holds a kept pattern."""
+    search, leaves, _ = _stream_index(key)
+    g = _INDEXED[key]
+    want = _reference_kept(search.order, _signed_automorphisms(g), leaves)
+    got = {}
+    for _, placed, solutions, patterns in search.leaves(_SignedGroup(g)):
+        assert placed not in got, placed
+        got[placed] = sum(1 << _code(x, 1) for x in solutions), {tuple(c) for c in patterns}
+    assert got == want
 
 
 _GROUPS: dict = {}
