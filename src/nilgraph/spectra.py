@@ -485,6 +485,17 @@ def _sign_patterns(n: int, others, placed):
         yield cols
 
 
+def _state_patterns(state, n: int, order, placed) -> list[list]:
+    """The sign patterns of the placed columns (in placement order
+    ``order``) that a group state keeps: the signed columns of its branches
+    (``_SignedGroup.extend``) when it is a list, otherwise all of
+    ``_sign_patterns``, since before column 0 is placed no comparison is
+    decided, and state None means no group."""
+    if isinstance(state, list):
+        return [cols[:] for _, cols, _ in state]
+    return list(_sign_patterns(n, order, placed))
+
+
 def _charpoly_width(n: int, bound: int) -> int:
     """Digit width of the packed characteristic-polynomial key: with entries
     in [-bound, bound], |E_k| <= C(n, k) k! bound^k <= n! bound^n < 2^(width-1)."""
@@ -808,10 +819,7 @@ class _SignedGroup:
         state = ()
         for u, c in zip(order, placed):
             state = self.extend(state, u, c)
-        if isinstance(state, tuple):
-            # Column 0 is the solved column: no comparison is decided.
-            return list(_sign_patterns(self.n, order, placed))
-        return [cols for _, cols, _ in state]
+        return _state_patterns(state, self.n, order, placed)
 
 
 def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
@@ -827,35 +835,34 @@ def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
 
 def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
     """Every length-n column x supported on ``rows`` with entries in
-    [-bound, bound] that solves ``system``, whose rows (overwritten) hold
-    coefficients on ``rows`` followed by the right-hand side.  The system is
-    brought to echelon form; only its free coordinates are enumerated, and
-    each pivot coordinate follows by exact division, bottom row first."""
+    [-bound, bound] that solves the homogeneous ``system`` (its rows,
+    overwritten, hold coefficients on ``rows``; each row . x = 0).  The
+    system is brought to echelon form; only its free coordinates are
+    enumerated, and each pivot coordinate follows by exact division, bottom
+    row first."""
     k = len(rows)
-    pivots = echelon(system, k + 1)
-    if pivots and pivots[-1] == k:
-        return []  # the rows combine to 0 = nonzero
-    # A candidate is the tuple of its free coordinates, a 0 that the rows
-    # off ``rows`` read, then the pivot coordinates as solved.  Column k of
-    # the system (the right-hand side) lines up with that 0.
-    order = [j for j in range(k + 1) if j not in pivots]
-    nfree = len(order) - 1
+    pivots = echelon(system, k)
+    # A candidate is the tuple of a 0 that the rows off ``rows`` read, its
+    # free coordinates, then the pivot coordinates as solved.  Each step's
+    # coefficients line up with that tuple, negated, so their dot product
+    # with it is d times the step's pivot coordinate.
+    order = [j for j in range(k) if j not in pivots]
+    nfree = len(order)
     steps = []
     for i in reversed(range(len(pivots))):
         row = system[i]
-        steps.append((row[pivots[i]], row[k], [row[j] for j in order]))
+        steps.append((row[pivots[i]], [0] + [-row[j] for j in order]))
         order.append(pivots[i])
-    take = [nfree] * n
-    for i, j in enumerate(order):
-        if j < k:
-            take[rows[j]] = i
+    take = [0] * n
+    for i, j in enumerate(order, 1):
+        take[rows[j]] = i
     # itemgetter of one index returns the item, not a 1-tuple.
     pick = itemgetter(*take) if n > 1 else lambda vals: (vals[take[0]],)
     span = range(-bound, bound + 1)
     out = []
-    for vals in product(*[span] * nfree, (0,)):
-        for d, rhs, coeffs in steps:
-            q, rem = divmod(rhs - sum(map(mul, coeffs, vals)), d)
+    for vals in product((0,), *[span] * nfree):
+        for d, coeffs in steps:
+            q, rem = divmod(sum(map(mul, coeffs, vals)), d)
             if rem or not -bound <= q <= bound:
                 break
             vals += (q,)
@@ -875,10 +882,11 @@ class _Search:
     in the box (see ``_box_solutions``).  The walk meets few distinct
     systems many times, so each (allowed rows, system) pair is solved once
     per search and its pool reused (``_pool``); the pool of the box is the
-    entry of the empty system.  The last column adds the determinant row
-    g.x = +-1 (``_solve_last``).  Column signs are canonicalized during the walk
-    and expanded at the leaves, which is lossless because every constraint
-    in play is invariant under negating a column.  Partial column sets are
+    entry of the empty system.  The last column is the pool of its system
+    filtered by the determinant condition g.x = +-1 (``_solve_last``).
+    Column signs are canonicalized during the walk and expanded at the
+    leaves, which is lossless because every constraint in play is
+    invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
     matrix has coprime maximal minors), each a Laplace expansion along the
     new column over terms built once.  The node budget is charged the size
@@ -929,11 +937,11 @@ class _Search:
         self.iso_targets = {ci: cls for cls in dec.types for ci in cls}
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
-        # Per (allowed rows, relation system): the canonical candidates; per
-        # allowed rows: the unconstrained candidates packed for g.x (see
+        # Per (allowed rows, relation system): the canonical candidates, and
+        # for a last column those candidates packed for g.x (see
         # ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
-        self._packed: dict[tuple[int, ...], tuple] = {}
+        self._packed: dict[tuple, tuple] = {}
         # Per allowed rows: the slots of the non-edges in a relation row.
         self._relation_slots: dict[tuple[int, ...], list[tuple]] = {}
         # Per number of rows k: the size of the unconstrained pool on k rows,
@@ -963,10 +971,10 @@ class _Search:
             for depth, v in enumerate(self.order)
         ]
 
-    def _pool(self, rows: tuple[int, ...], system: frozenset = frozenset()) -> list[tuple]:
+    def _pool(self, rows: tuple[int, ...], system: frozenset) -> list[tuple]:
         """Canonical candidate columns on ``rows`` under the relation
-        ``system`` (see ``_relation_system``; none by default), solved once
-        per search and reused whenever the same system comes back."""
+        ``system`` (see ``_relation_system``), solved once per search and
+        reused whenever the same system comes back."""
         key = rows, system
         pool = self._pools.get(key)
         if pool is None:
@@ -974,17 +982,19 @@ class _Search:
             pool = self._pools[key] = _canonical(solved)
         return pool
 
-    def _unit_solutions(self, rows: tuple[int, ...], g: list[int]) -> list[tuple[int, ...]]:
-        """The sorted columns x on ``rows`` of the box with g.x = +-1, with
-        no relation constraint: the unconstrained pool filtered by one packed
-        dot product.  Candidate j fills slot j of each packed coordinate, a
-        byte-aligned slot wide enough for |g.x| <= n! bound^n; shifted by half
-        a slot, g.x = +-1 are two byte strings found at slot offsets.  A
-        solution is primitive, so it or its negation is in the pool, and
-        every negated candidate sorts below every candidate."""
-        packed = self._packed.get(rows)
+    def _unit_solutions(self, rows: tuple[int, ...], system: frozenset, g: list[int]) -> list:
+        """The sorted columns x on ``rows`` of the box that solve the
+        relation ``system`` and g.x = +-1: the pool of the system (``_pool``)
+        filtered by one packed dot product.  Candidate j fills slot j of each
+        packed coordinate, a byte-aligned slot wide enough for
+        |g.x| <= n! bound^n; shifted by half a slot, g.x = +-1 are two byte
+        strings found at slot offsets.  A solution is primitive and the
+        system is homogeneous, so the solution or its negation is in the
+        pool, and every negated candidate sorts below every candidate."""
+        key = rows, system
+        packed = self._packed.get(key)
         if packed is None:
-            pool = self._pool(rows)
+            pool = self._pool(rows, system)
             size = (_charpoly_width(self.n, self.bound) + 7) // 8
             half = 1 << (8 * size - 1)
             offset = int.from_bytes(half.to_bytes(size, "little") * len(pool), "little")
@@ -993,7 +1003,7 @@ class _Search:
                 digits = b"".join([(x[r] + half).to_bytes(size, "little") for x in pool])
                 coords.append(int.from_bytes(digits, "little") - offset)
             targets = [(half + d).to_bytes(size, "little") for d in (-1, 1)]
-            packed = self._packed[rows] = pool, size, offset, coords, targets
+            packed = self._packed[key] = pool, size, offset, coords, targets
         pool, size, offset, coords, targets = packed
         data = sum(map(mul, g, coords), offset).to_bytes(size * len(pool), "little")
         hits = []
@@ -1115,46 +1125,31 @@ class _Search:
                 used.discard(choice[1])
 
     def _solve_last(self, v: int, rows, placed, minors_top, state=None) -> tuple | None:
-        """Solve sum_r g_r c_r = +-1 for the final column over the allowed box,
-        together with its relation constraints; returns the leaf (see
-        ``leaves``), or None without solutions.  The sign patterns are those
-        of the group state of the leaf's node (``_SignedGroup.extend``), or
-        all of them without the group or when v = 0.  Without relation rows
-        the pool of the box is filtered by one packed dot product
-        (``_unit_solutions``).  With them the system and the g row are
-        solved afresh: g changes from leaf to leaf, so such a system rarely
-        repeats and is not kept."""
+        """Solve sum_r g_r c_r = +-1 for the final column over the allowed
+        box, together with its relation constraints; returns the leaf (see
+        ``leaves``), or None without solutions.  The pool of the relation
+        system, solved once per search like that of every other column, is
+        filtered by one packed dot product (``_unit_solutions``).  The sign
+        patterns are those the group state of the leaf's node keeps
+        (``_state_patterns``)."""
         n = self.n
         full = (1 << n) - 1
         g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
-        system = self._relation_system(n - 1, rows, placed)
-        if system:
-            system = [list(row) for row in system]
-            system.append(g + [1])
-            # The solutions for -1 are the negated solutions for +1.
-            solutions = _box_solutions(system, rows, n, self.bound)
-            solutions += [tuple(map(neg, c)) for c in solutions]
-            solutions.sort()
-        else:
-            solutions = self._unit_solutions(rows, g)
+        solutions = self._unit_solutions(rows, self._relation_system(n - 1, rows, placed), g)
         if not solutions:
             return None
-        if state is None or v == 0:
-            patterns = list(_sign_patterns(n, self.order, placed))
-        else:
-            patterns = [cols[:] for _, cols, _ in state]
-        return v, tuple(placed), solutions, patterns
+        return v, tuple(placed), solutions, _state_patterns(state, n, self.order, placed)
 
     def _relation_system(self, depth: int, rows, placed) -> frozenset:
-        """The edge-relation constraints on the column placed at ``depth``:
-        u[a] x[b] - u[b] x[a] = 0 for each placed neighbour column u and
-        each non-edge (a, b), as the set of distinct nonzero rows (tuples)
-        of coefficients on ``rows`` followed by the right-hand side 0.  The
-        slots (ja, jb) of the non-edges that meet ``rows`` are found once
-        per allowed rows; the others give only zero rows."""
+        """The edge-relation constraints on the column placed at ``depth``,
+        the last one included: u[a] x[b] - u[b] x[a] = 0 for each placed
+        neighbour column u and each non-edge (a, b), as the set of distinct
+        nonzero rows (tuples) of coefficients on ``rows``.  The slots
+        (ja, jb) of the non-edges that meet ``rows`` are found once per
+        allowed rows; the others give only zero rows."""
         depths = self.neighbor_depths[depth]
         if not depths:
             return frozenset()
@@ -1164,7 +1159,7 @@ class _Search:
             pairs = self._relation_slots[rows] = [
                 (slot.get(a), slot.get(b), a, b) for a, b in self.nonedges if a in slot or b in slot
             ]
-        width = len(rows) + 1
+        width = len(rows)
         distinct = set()
         for k in depths:
             u = placed[k]

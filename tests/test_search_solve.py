@@ -1,8 +1,8 @@
 """The exact solve of the search's linear constraints: the column stream of
-the bounded search against a recorded golden, the solve against a
-brute-force scan of the box, the reused column systems and the packed
-last-column filter against fresh solves, the budget of whole walks and of
-one pool, and ``rank`` through the shared elimination.
+the bounded search against a recorded golden, the homogeneous solve and the
+packed last-column filter against brute-force scans of the box, the reused
+column systems against fresh solves, the budget of whole walks and of one
+pool, and ``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
@@ -10,7 +10,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
-from operator import mul, neg
+from operator import mul
 from pathlib import Path
 
 from hypothesis import given
@@ -74,23 +74,32 @@ def test_automorphism_streams_match_the_recorded_streams():
         assert _stream_digest(g, bound, prunes) == golden[key], key
 
 
+def _relations(draw, k, entry, count):
+    """``count`` edge-relation rows u[a] x[b] - u[b] x[a] on k coordinates,
+    with the entries of u drawn from ``entry``."""
+    relations = []
+    for _ in range(count):
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2))
+        row = [0] * k
+        row[b] += draw(entry)
+        row[a] -= draw(entry)
+        relations.append(row)
+    return relations
+
+
 @st.composite
 def _systems(draw):
-    """(n, bound, rows, relations, g): 1-3 edge-relation rows
-    u[a] x[b] - u[b] x[a] on a sorted subset ``rows`` of range(n), and an
-    optional determinant row g."""
+    """(n, bound, rows, relations): 1-3 edge-relation rows on a sorted
+    subset ``rows`` of range(n)."""
     n = draw(st.integers(1, 5))
     rows = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
-    k = len(rows)
-    relations = []
-    for _ in range(draw(st.integers(1, 3))):
-        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2))
-        row = [0] * (k + 1)
-        row[b] += draw(st.integers(-2, 2))
-        row[a] -= draw(st.integers(-2, 2))
-        relations.append(row)
-    g = draw(st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
-    return n, draw(st.integers(1, 2)), rows, relations, g
+    relations = _relations(draw, len(rows), st.integers(-2, 2), draw(st.integers(1, 3)))
+    return n, draw(st.integers(1, 2)), rows, relations
+
+
+def _dot(row, rows, x):
+    """row . x for a row of coefficients on ``rows``."""
+    return sum(c * x[r] for c, r in zip(row, rows))
 
 
 def _box(n, bound, rows):
@@ -104,23 +113,11 @@ def _box(n, bound, rows):
 
 @given(_systems())
 def test_box_solutions_match_a_scan_of_the_box(case):
-    """The echelon solve finds exactly the columns of the box that a scan
-    finds."""
-    n, bound, rows, relations, g = case
-
-    def dot(row, x):
-        # zip stops before the right-hand side of a system row
-        return sum(c * x[r] for c, r in zip(row, rows))
-
-    system = [row[:] for row in relations]
-    if g is not None:
-        system.append(g + [1])
-    got = sorted(_box_solutions(system, rows, n, bound))
-    want = [
-        x
-        for x in _box(n, bound, rows)
-        if all(dot(row, x) == 0 for row in relations) and (g is None or dot(g, x) == 1)
-    ]
+    """The echelon solve of a homogeneous system finds exactly the columns
+    of the box that a scan finds."""
+    n, bound, rows, relations = case
+    got = sorted(_box_solutions([row[:] for row in relations], rows, n, bound))
+    want = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in relations)]
     assert got == want
 
 
@@ -156,7 +153,7 @@ def test_search_columns_match_the_minor_filter(data):
     if depth < n - 1:
         system = search._relation_system(depth, rows, placed)
         got = search._pool(rows, system)
-        assert got == [x for x in search._pool(rows) if related(x)]
+        assert got == [x for x in search._pool(rows, frozenset()) if related(x)]
         return
     full = (1 << n) - 1
     minors = [0] * (1 << n)
@@ -199,10 +196,11 @@ def test_solved_systems_are_reused_per_rows(data):
 
 @given(st.data())
 def test_packed_filter_matches_the_determinant_row(data):
-    """The unconstrained last column filtered by one packed dot product is
-    the solve of g.x = 1 on the box, with its negations, sorted; g holds
-    real maximal minors of placed columns, half the time with every entry
-    at +-bound, where |g.x| comes closest to the slot edge."""
+    """The pool of a relation system filtered by one packed dot product is
+    the scan of the box for the columns that solve the system and
+    g.x = +-1; g holds real maximal minors of placed columns, and half the
+    time every entry of those columns and of the relation rows is at
+    +-bound, where |g.x| comes closest to the slot edge."""
     n = data.draw(st.integers(1, 5))
     bound = data.draw(st.integers(1, 3))
     if data.draw(st.booleans()):
@@ -215,10 +213,15 @@ def test_packed_filter_matches_the_determinant_row(data):
         (-1) ** (r + n - 1) * det_flat([c[i] for i in range(n) if i != r for c in placed], n - 1)
         for r in rows
     ]
+    relations = _relations(data.draw, len(rows), entry, data.draw(st.integers(0, 2)))
+    system = frozenset(tuple(row) for row in relations if any(row))
     search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
-    solutions = _box_solutions([g + [1]], rows, n, bound)
-    want = sorted(solutions + [tuple(map(neg, x)) for x in solutions])
-    assert search._unit_solutions(rows, g) == want
+    want = [
+        x
+        for x in _box(n, bound, rows)
+        if not any(_dot(row, rows, x) for row in system) and _dot(g, rows, x) in (1, -1)
+    ]
+    assert search._unit_solutions(rows, system, g) == want
 
 
 CATALOG_BY_KEY = {e.key: e for e in CATALOG}
@@ -298,7 +301,7 @@ def test_pool_size_formula_matches_the_pool():
             search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
             for k in range(n + 1):
                 rows = tuple(range(n - k, n))
-                assert search._pool_sizes[k] == len(search._pool(rows)), (n, bound, k)
+                assert search._pool_sizes[k] == len(search._pool(rows, frozenset())), (n, bound, k)
 
 
 def _rank_reference(rows, ncols):

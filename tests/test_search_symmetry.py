@@ -88,10 +88,13 @@ def _stream_index(key: str):
         g = _INDEXED[key]
         search = _Search(Presentation.of(g), 1, True, _Budget(None))
         leaves: dict = {}
+        bits: dict = {}  # per solved column, its bit; few distinct columns occur
         for _, placed, solutions, _ in search.leaves():
             mask = leaves.get(placed, 0)
             for x in solutions:
-                mask |= 1 << _code(x, 1)
+                if x not in bits:
+                    bits[x] = 1 << _code(x, 1)
+                mask |= bits[x]
             leaves[placed] = mask
         _STREAMS[key] = search, leaves, list(leaves)
     return _STREAMS[key]
