@@ -48,9 +48,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+def _load_graph(path: str) -> Graph | int:
+    """The graph in the file ``path``, or the exit code after the error is
+    reported."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return graph_from_text(fh.read())
+    except (OSError, UnicodeDecodeError, GraphFormatError, json.JSONDecodeError) as exc:
+        return _fail(EXIT_PARSE, str(exc))
 
 
 def _read_json(path: str):
@@ -63,10 +68,9 @@ def _dump(data) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphFormatError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    g = _load_graph(args.graph)
+    if isinstance(g, int):
+        return g
     p = Presentation.of(g)
     jd = join_decompose(g)
     cd = connected_components(g)
@@ -125,10 +129,12 @@ def _load_automorphism(args):
     """(graph, endomorphism, its Reidemeister number) from the ``graph`` and
     ``aut`` files of ``reid`` and ``oracle``, or the exit code after the
     error is reported."""
+    g = _load_graph(args.graph)
+    if isinstance(g, int):
+        return g
     try:
-        g = _read_graph(args.graph)
         endo = endo_from_json(Presentation.of(g), _read_json(args.aut))
-    except (OSError, GraphFormatError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(EXIT_PARSE, str(exc))
     except RelationViolation as exc:
         return _fail(EXIT_RELATION, f"{exc} (edge {exc.edge})")
@@ -153,10 +159,9 @@ def cmd_reid(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (OSError, GraphFormatError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    g = _load_graph(args.graph)
+    if isinstance(g, int):
+        return g
     try:
         report = compute_spectrum_report(g, args.bound, node_budget=args.budget)
     except SearchBudgetExceeded as exc:

@@ -340,7 +340,7 @@ def graph_from_text(text: str) -> Graph:
         n = int(lines[0])
     except ValueError as exc:
         raise GraphFormatError(f"line 1: expected vertex count, got {lines[0]!r}") from exc
-    edges = []
+    edges = set()
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -349,5 +349,8 @@ def graph_from_text(text: str) -> Graph:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in {ln!r}") from exc
-        edges.append(_normalize_edge(i, j, n))
-    return Graph.from_edges(n, edges)
+        pair = _normalize_edge(i, j, n)
+        if pair in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {list(pair)}")
+        edges.add(pair)
+    return Graph(n, frozenset(edges))

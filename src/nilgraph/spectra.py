@@ -11,7 +11,7 @@ always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, permutations, product, repeat
+from itertools import combinations, count, permutations, product
 from math import factorial, gcd, isqrt
 from operator import itemgetter, mul, neg
 
@@ -24,7 +24,7 @@ from .graphs import (
     is_connected,
     join_decompose,
 )
-from .morphism import endo_from_matrix, reidemeister_number
+from .morphism import endo_from_matrix
 from .nilgroup import Presentation
 
 
@@ -496,48 +496,38 @@ def _state_patterns(state, n: int, order, placed) -> list[list]:
     return list(_sign_patterns(n, order, placed))
 
 
-def _charpoly_width(n: int, bound: int) -> int:
-    """Digit width of the packed characteristic-polynomial key: with entries
-    in [-bound, bound], |E_k| <= C(n, k) k! bound^k <= n! bound^n < 2^(width-1)."""
+def _det_width(n: int, bound: int) -> int:
+    """Digit width that holds any n x n determinant with entries in
+    [-bound, bound]: |det| <= n! bound^n < 2^(width-1)."""
     return (factorial(n) * bound**n).bit_length() + 1
 
 
-def _make_charpoly_keys(order, width: int):
-    """Packed characteristic-polynomial keys for the leaves of a search with
-    the given placement order: sum_k (E_k + 2^(width-1)) 2^(width (k-1)) over
-    the principal-minor sums E_1..E_n, exact and injective.  A principal
-    minor on T + {v} is linear in column v (Laplace along it), so for one
-    sign pattern of the placed columns the key is one dot product with
-    column v."""
-    n = len(order)
-    v, others = order[-1], order[:-1]
-    offset = sum(1 << (width * k + width - 1) for k in range(n))
-    # Per subset T of the placed vertices, per row r of T + {v}: the sign
-    # and digit of the cofactor of entry (r, v) in det(M_{T + v}) and the
-    # cells (column, row) of its minor.  The cofactor of (v, v) is det(M_T),
-    # which also goes one digit lower.
-    subsets = []
-    for k in range(n):
-        for t in combinations(sorted(others), k):
-            tv = sorted(t + (v,))
-            sign = (-1) ** tv.index(v) << (width * k)
-            cofactors = [
-                (r, (-1) ** j * sign, [(u, rr) for rr in tv if rr != r for u in t])
-                for j, r in enumerate(tv)
-            ]
-            subsets.append((k, cofactors))
+def _make_cofactors(order):
+    """Cofactors of the solved column of a search with the given placement
+    order, called as ``cofactors(cols, ts)``: cols holds the placed columns
+    of a matrix M (cols[v] is unread, v = order[-1]), and for each t in ts
+    the result holds the signed cofactors cof of column v of t - M, so that
+    the matrix whose column v is x has det(t - M) = t cof[v] - cof . x."""
+    n, v = len(order), order[-1]
+    # Per row r: the sign of cofactor (r, v), the cells (column, row) of its
+    # minor, row-major, and the positions of the minor's diagonal cells.
+    minors = []
+    for r in range(n):
+        cells = [(c, rr) for rr in range(n) if rr != r for c in range(n) if c != v]
+        minors.append(((-1) ** (r + v), cells, [i for i, (c, rr) in enumerate(cells) if c == rr]))
 
-    def pattern_key(cols):
-        """(base, coef) of one sign pattern: cols holds the placed columns
-        with their signs (cols[v] is unread), and the key of the matrix
-        whose column v is x is base + coef . x."""
-        coef = [0] * n
-        for k, cofactors in subsets:
-            for r, sg, cells in cofactors:
-                coef[r] += sg * det_flat([cols[u][rr] for u, rr in cells], k)
-        return offset + (coef[v] >> width), coef
+    def cofactors(cols, ts):
+        out = [[0] * n for _ in ts]
+        for r, (sign, cells, diagonal) in enumerate(minors):
+            minor = [-cols[c][rr] for c, rr in cells]
+            for cof, t in zip(out, ts):
+                m = minor[:]
+                for i in diagonal:
+                    m[i] += t
+                cof[r] = sign * det_flat(m, n - 1)
+        return out
 
-    return pattern_key
+    return cofactors
 
 
 def _make_leaf_values(search: _Search):
@@ -549,68 +539,38 @@ def _make_leaf_values(search: _Search):
     None when it is infinite.  Within one pattern only the column of the
     solved vertex v varies.
 
-    Edgeless graphs: both determinant layers depend only on the
-    characteristic polynomial (the commutator action is the full second
-    compound), so a matrix costs one packed key (``_make_charpoly_keys``)
-    and one lookup in this evaluator's memo; a miss runs ``reidemeister_number``.
+    det(1 - M1) is affine in column v, so it is one dot product with the
+    cofactors of column v of 1 - M1 (``_make_cofactors``).  Of 1 - M2 only
+    the columns of the non-edges at v move; the others are filled once.
 
-    Other graphs: det(1 - M1) is affine in column v, so it is one dot
-    product with the cofactors of column v of 1 - M1.  Of 1 - M2 only the
-    columns of the non-edges at v move; the others are filled once.
+    Edgeless graphs put a memo on top: both determinant layers depend only
+    on the characteristic polynomial (the commutator action is the full
+    second compound), and a monic polynomial of degree n is fixed by its
+    values at t = 1..n.  So a matrix is keyed by det(t - M1) for t = 1..n,
+    one digit each, from the same cofactors, and only the keys the memo
+    misses are evaluated.
     """
     p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
-    if p.graph.is_edgeless:
-        pattern_key = _make_charpoly_keys(order, _charpoly_width(n, search.bound))
-        memo: dict[int, int | None] = {}
-        miss = object()
-
-        def charpoly_values(cols, solutions):
-            # The sorted solutions are closed under negation, so the j-th
-            # from the end is minus the j-th, and its key is 2 base - key.
-            base, coef = pattern_key(cols)
-            keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
-            keys += [2 * base - key for key in reversed(keys)]
-            values = list(map(memo.get, keys, repeat(miss)))
-            if miss in values:
-                for key, x in zip(keys, solutions):
-                    if key not in memo:
-                        m = _column_matrix(cols[:v] + [x] + cols[v + 1 :])
-                        memo[key] = reidemeister_number(endo_from_matrix(p, m)).r.value
-                values = [memo[key] for key in keys]
-            return values
-
-        return charpoly_values
-    nonedges = p.nonedges
-    others = order[:-1]
-    # Cofactor r of column v: its sign and the cells of its minor, row-major.
-    minors = [
-        ((-1) ** (r + v), [(c, rr) for rr in range(n) if rr != r for c in range(n) if c != v])
-        for r in range(n)
-    ]
+    cofactors = _make_cofactors(order)
     eye = [1 if r == c else 0 for r in range(N) for c in range(N)]
     # Cells (row-major index of row (a, b), a, b) of one column of 1 - M2.
-    rows_cells = [(m * N, a, b) for m, (a, b) in enumerate(nonedges)]
-    fixed = [(l, c, d) for l, (c, d) in enumerate(nonedges) if v not in (c, d)]
+    rows_cells = [(m * N, a, b) for m, (a, b) in enumerate(p.nonedges)]
+    fixed = [(l, c, d) for l, (c, d) in enumerate(p.nonedges) if v not in (c, d)]
     # Moving column l = (c, d) holds w[a] x[b] - w[b] x[a] in row (a, b),
     # where x is column v and w is column d (if c = v) or minus column c.
     moving = [
         (d if c == v else c, c == v, [(i + l, a, b) for i, a, b in rows_cells])
-        for l, (c, d) in enumerate(nonedges)
+        for l, (c, d) in enumerate(p.nonedges)
         if v in (c, d)
     ]
 
     def leaf_values(cols, solutions):
-        acols: list = [None] * n
-        for u in others:
-            acols[u] = col = [-x for x in cols[u]]
-            col[u] += 1
-        cof = [sg * det_flat([acols[c][r] for c, r in cells], n - 1) for sg, cells in minors]
+        (cof,) = cofactors(cols, (1,))
         if not any(cof):
             # det(1 - M1) vanishes whatever column v is.
             return [None] * len(solutions)
-        cof_v = cof[v]
-        d1s = [cof_v - sum(map(mul, x, cof)) for x in solutions]
+        d1s = [cof[v] - sum(map(mul, x, cof)) for x in solutions]
         if not N:
             return [abs(d1) or None for d1 in d1s]
         base = eye[:]
@@ -635,7 +595,30 @@ def _make_leaf_values(search: _Search):
             values.append(abs(d1 * d2) if d2 else None)
         return values
 
-    return leaf_values
+    if not p.graph.is_edgeless:
+        return leaf_values
+    ts = range(1, n + 1)
+    # Entries of t - M1 lie in [-(n + B), n + B]; digit t - 1 holds
+    # det(t - M1) offset by half a digit, so the key is affine in column v.
+    width = _det_width(n, n + search.bound)
+    memo: dict[int, int | None] = {}
+
+    def charpoly_values(cols, solutions):
+        base, coef = 0, [0] * n
+        for t, cof in zip(ts, cofactors(cols, ts)):
+            shift = width * (t - 1)
+            base += (t * cof[v] + (1 << (width - 1))) << shift
+            coef = [k - (c << shift) for k, c in zip(coef, cof)]
+        # The sorted solutions are closed under negation, so the j-th from
+        # the end is minus the j-th, and its key is 2 base - key.
+        keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
+        keys += [2 * base - key for key in reversed(keys)]
+        missing = {key: x for key, x in zip(keys, solutions) if key not in memo}
+        if missing:
+            memo.update(zip(missing, leaf_values(cols, list(missing.values()))))
+        return [memo[key] for key in keys]
+
+    return charpoly_values
 
 
 def _canonical(vectors) -> list[tuple[int, ...]]:
@@ -889,11 +872,11 @@ class _Search:
     invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
     matrix has coprime maximal minors), each a Laplace expansion along the
-    new column over terms built once.  The node budget is charged the size
-    of the unconstrained pool per placed column on k rows, before any pool
-    is built, and 2 (2B+1)^(k-1) per last column on k rows, whatever the
-    solve enumerates and whether it was solved before.
-    ``_make_leaf_values`` evaluates leaves.
+    new column over terms built when the walk first reaches that depth.
+    The node budget is charged the size of the unconstrained pool per
+    placed column on k rows, before any pool or term is built, and
+    2 (2B+1)^(k-1) per last column on k rows, whatever the solve enumerates
+    and whether it was solved before.  ``_make_leaf_values`` evaluates leaves.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
     Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
@@ -952,14 +935,10 @@ class _Search:
             sum(_mobius(d) * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1)) // 2
             for k in range(n + 1)
         ]
-        # Laplace expansion along the new column of each minor of k placed
-        # columns: per row mask, the terms (row r, mask without r, sign).
-        self._laplace: list[list] = [[] for _ in range(n)]
-        for k in range(n):
-            for rows in combinations(range(n), k):
-                mask = sum(1 << r for r in rows)
-                terms = [(r, mask ^ 1 << r, (-1) ** (i + k - 1)) for i, r in enumerate(rows)]
-                self._laplace[k].append((mask, terms))
+        # Per number k of placed columns: the Laplace expansion along the new
+        # column of each minor, per row mask the terms (row r, mask without
+        # r, sign); built when the walk first places k columns.
+        self._laplace: dict[int, list] = {}
 
         # Static placement order: fewest allowed rows first, so the relation
         # constraints bite early (the unconstrained pool grows with the
@@ -995,7 +974,7 @@ class _Search:
         packed = self._packed.get(key)
         if packed is None:
             pool = self._pool(rows, system)
-            size = (_charpoly_width(self.n, self.bound) + 7) // 8
+            size = (_det_width(self.n, self.bound) + 7) // 8
             half = 1 << (8 * size - 1)
             offset = int.from_bytes(half.to_bytes(size, "little") * len(pool), "little")
             coords = []
@@ -1079,9 +1058,16 @@ class _Search:
 
     def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
         """Minors of k placed columns from those of k-1, plus their gcd."""
+        laplace = self._laplace.get(k)
+        if laplace is None:
+            laplace = self._laplace[k] = []
+            for rows in combinations(range(self.n), k):
+                mask = sum(1 << r for r in rows)
+                terms = [(r, mask ^ 1 << r, (-1) ** (i + k - 1)) for i, r in enumerate(rows)]
+                laplace.append((mask, terms))
         table = [0] * (1 << self.n)
         g = 0
-        for mask, terms in self._laplace[k]:
+        for mask, terms in laplace:
             acc = 0
             for r, rest, sign in terms:
                 c = col[r]

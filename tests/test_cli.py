@@ -29,6 +29,20 @@ def run(capsys, *argv):
     return code, out
 
 
+def not_utf8(tmp_path):
+    """Path of a graph file that is not UTF-8."""
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"n": 2, "edges": []}\xff')
+    return str(path)
+
+
+def parse_error(capsys, *argv):
+    """Exit code 2 and a one-line ``error:`` on stderr."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def usage_error(capsys, *argv):
     """stderr of a command line that argparse rejects with exit code 2."""
     with pytest.raises(SystemExit) as exc:
@@ -83,6 +97,9 @@ class TestAnalyze:
     def test_non_integer_graph_exit_2(self, write, capsys, graph):
         assert main(["analyze", write("g.json", graph)]) == 2
 
+    def test_graph_not_utf8_exit_2(self, tmp_path, capsys):
+        parse_error(capsys, "analyze", not_utf8(tmp_path))
+
 
 class LoadErrors:
     """Exit codes of a subcommand that reads a graph and an automorphism;
@@ -119,6 +136,10 @@ class LoadErrors:
         g = write("g.json", N22)
         a = write("a.json", {"matrix": [[2, 0], [0, 1]]})
         assert main([self.command, g, a]) == 4
+
+    def test_graph_not_utf8_exit_2(self, write, tmp_path, capsys):
+        a = write("a.json", {"matrix": [[1, 1], [1, 0]]})
+        parse_error(capsys, self.command, not_utf8(tmp_path), a)
 
 
 class TestReid(LoadErrors):
@@ -200,6 +221,9 @@ class TestSearch:
     def test_negative_budget_exit_2(self, write, capsys):
         err = usage_error(capsys, "search", write("g.json", N22), "--budget", "-1")
         assert "error: argument --budget: must be >= 0, got -1" in err
+
+    def test_graph_not_utf8_exit_2(self, tmp_path, capsys):
+        parse_error(capsys, "search", not_utf8(tmp_path))
 
     def test_witness_roundtrip(self, write, capsys):
         from nilgraph.exactlin import ExtNat, IntMatrix

@@ -234,9 +234,17 @@ class TestFormats:
         g = graph_from_text("4\n0 1\n1 2\n")
         assert g == FIG1
 
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(GraphFormatError):
-            graph_from_text('{"n": 3, "edges": [[0, 1], [1, 0]]}')
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 3, "edges": [[0, 1], [1, 0]]}', r"^duplicate edge \[0, 1\]$"),
+            ("3\n0 1\n1 0\n", r"^line 3: duplicate edge \[0, 1\]$"),
+        ],
+        ids=["json", "line"],
+    )
+    def test_duplicate_edge_rejected(self, text, message):
+        with pytest.raises(GraphFormatError, match=message):
+            graph_from_text(text)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):

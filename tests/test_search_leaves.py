@@ -6,7 +6,7 @@ guards of the search."""
 import gc
 import json
 import tracemalloc
-from itertools import combinations, islice
+from itertools import islice
 from operator import mul
 from pathlib import Path
 
@@ -25,9 +25,9 @@ from nilgraph.spectra import (
     SearchBudgetExceeded,
     SpectrumConsistencyError,
     _Budget,
-    _charpoly_width,
     _check_block_structure,
-    _make_charpoly_keys,
+    _det_width,
+    _make_cofactors,
     _make_leaf_values,
     _Search,
     _sign_patterns,
@@ -119,60 +119,43 @@ def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit, grouped):
 
 
 @st.composite
-def _bounded_matrices(draw, n=None, bound=None):
+def _bounded_matrices(draw):
     """(bound, columns, placement order) of an n x n matrix, n in 2..5, with
     entries in [-bound, bound], bound in 1..3; half the draws put +-bound in
     every entry."""
-    n = draw(st.integers(2, 5)) if n is None else n
-    bound = draw(st.integers(1, 3)) if bound is None else bound
+    n = draw(st.integers(2, 5))
+    bound = draw(st.integers(1, 3))
     corner = draw(st.booleans())
     entry = st.sampled_from((-bound, bound)) if corner else st.integers(-bound, bound)
     cols = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
     return bound, cols, draw(st.permutations(range(n)))
 
 
-def _principal_minor_sums(cols):
-    n = len(cols)
-    return [
-        sum(det_flat([cols[c][r] for r in t for c in t], k) for t in combinations(range(n), k))
-        for k in range(1, n + 1)
-    ]
+def _dets(cofactors, cols, v, ts):
+    """t cof[v] - cof . x for each t in ts, with x = cols[v]."""
+    return [t * cof[v] - sum(map(mul, cols[v], cof)) for t, cof in zip(ts, cofactors(cols, ts))]
 
 
-def _packed_keys(bound, cols, order):
-    """(key, principal-minor sums) of every sign pattern of the placed
-    columns of ``cols``, as the edgeless evaluator builds the keys."""
-    n = len(cols)
-    width = _charpoly_width(n, bound)
-    v = order[-1]
-    pattern_key = _make_charpoly_keys(order, width)
-    out = []
+@given(_bounded_matrices())
+def test_cofactors_give_det_t_minus_m_within_a_key_digit(drawn):
+    """For each sign pattern of the placed columns and t = 1..n, the
+    cofactors of the solved column give det(t - M) of the whole matrix,
+    below half a digit of the edgeless key in absolute value; the transpose
+    gives the same n values, as it has the same characteristic polynomial."""
+    bound, cols, order = drawn
+    n, v = len(cols), order[-1]
+    ts = range(1, n + 1)
+    half = 1 << (_det_width(n, n + bound) - 1)
+    cofactors = _make_cofactors(order)
     for signed in _sign_patterns(n, order[:-1], [cols[u] for u in order[:-1]]):
-        base, coef = pattern_key(signed)
-        assert signed[v] is None
         signed[v] = cols[v]
-        out.append((base + sum(map(mul, cols[v], coef)), _principal_minor_sums(signed)))
-    return width, out
-
-
-@given(st.data())
-def test_packed_charpoly_key_decodes_to_the_principal_minor_sums(data):
-    """The key of each sign pattern holds E_1..E_n in digits of the width,
-    offset by half a digit; so keys are equal exactly when the sums are."""
-    bound, cols, order = data.draw(_bounded_matrices())
-    n = len(cols)
-    width, keyed = _packed_keys(bound, cols, order)
-    assert len(keyed) == 1 << (n - 1)
-    half, digit = 1 << (width - 1), (1 << width) - 1
-    for key, sums in keyed:
-        assert key >> (width * n) == 0
-        assert [(key >> (width * k) & digit) - half for k in range(n)] == sums
-    # The transpose has the same sums, and so the same key.
-    transpose = [tuple(c[i] for c in cols) for i in range(n)]
-    assert _packed_keys(bound, transpose, order)[1][0] == keyed[0]
-    _, other, other_order = data.draw(_bounded_matrices(n, bound))
-    (key_a, sums_a), (key_b, sums_b) = keyed[0], _packed_keys(bound, other, other_order)[1][0]
-    assert (key_a == key_b) == (sums_a == sums_b)
+        values = _dets(cofactors, signed, v, ts)
+        for t, value in zip(ts, values):
+            m = [(t if r == c else 0) - signed[c][r] for r in range(n) for c in range(n)]
+            assert value == det_flat(m, n)
+            assert abs(value) < half
+        transpose = [tuple(c[i] for c in signed) for i in range(n)]
+        assert _dets(cofactors, transpose, v, ts) == values
 
 
 def test_dense_searches_match_the_recorded_reports(reports):
@@ -280,13 +263,15 @@ class TestBlockStructureGuard:
 
 
 class TestReportGuards:
-    def test_budget_is_charged_before_the_first_pool(self):
-        """The first column of 13 isolated vertices has a pool of (3^13 - 1)/2
-        columns; the budget runs out before it or the evaluator is built."""
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_budget_is_charged_before_the_first_pool(self, n):
+        """The first column of n isolated vertices has a pool of (3^n - 1)/2
+        columns; the budget runs out before it, the evaluator or the
+        n 2^(n-1) Laplace terms of the walk are built."""
         tracemalloc.start()
         try:
             with pytest.raises(SearchBudgetExceeded):
-                compute_spectrum_report(empty_graph(13), node_budget=10)
+                compute_spectrum_report(empty_graph(n), node_budget=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
