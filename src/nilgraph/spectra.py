@@ -543,12 +543,25 @@ def _make_leaf_values(search: _Search):
     cofactors of column v of 1 - M1 (``_make_cofactors``).  Of 1 - M2 only
     the columns of the non-edges at v move; the others are filled once.
 
-    Edgeless graphs put a memo on top: both determinant layers depend only
-    on the characteristic polynomial (the commutator action is the full
-    second compound), and a monic polynomial of degree n is fixed by its
-    values at t = 1..n.  So a matrix is keyed by det(t - M1) for t = 1..n,
-    one digit each, from the same cofactors, and only the keys the memo
-    misses are evaluated.
+    A memo for the whole search sits on top.  It keys each matrix by an
+    integer that is affine in column v and that fixes R, and only the keys
+    it misses are evaluated directly.  The key depends on the graph:
+
+    - Edgeless: both determinant layers depend only on the characteristic
+      polynomial (the commutator action is the full second compound), and
+      a monic polynomial of degree n is fixed by its values at t = 1..n.
+      So the key is det(t - M1) for t = 1..n, one digit each, from the
+      same cofactors, whose t = 1 row also serves a miss.
+    - More than one degree class: the matrix keeps the degree filtration
+      (``_observe`` checks each leaf with ``_check_block_structure`` before
+      evaluating it), so M1 is block triangular over the degree classes,
+      and the commutator action is block triangular over the pairs of
+      classes, with its edge lattice spanned by coordinate vectors.  Both
+      determinants are then products over the diagonal blocks A_d of M1
+      (M1 on the rows and columns of class d), and the off-diagonal entries
+      never change R.  The key is the entries of the diagonal blocks, one
+      digit each: every column on the rows of its own class.
+    - One class that meets an edge: no memo.
     """
     p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
@@ -565,8 +578,11 @@ def _make_leaf_values(search: _Search):
         if v in (c, d)
     ]
 
-    def leaf_values(cols, solutions):
-        (cof,) = cofactors(cols, (1,))
+    def direct_values(cols, solutions, cof=None):
+        """The values of ``leaf_values`` without a memo; cof holds the
+        cofactors of column v of 1 - M1 when the caller has them."""
+        if cof is None:
+            (cof,) = cofactors(cols, (1,))
         if not any(cof):
             # det(1 - M1) vanishes whatever column v is.
             return [None] * len(solutions)
@@ -595,30 +611,52 @@ def _make_leaf_values(search: _Search):
             values.append(abs(d1 * d2) if d2 else None)
         return values
 
-    if not p.graph.is_edgeless:
-        return leaf_values
-    ts = range(1, n + 1)
-    # Entries of t - M1 lie in [-(n + B), n + B]; digit t - 1 holds
-    # det(t - M1) offset by half a digit, so the key is affine in column v.
-    width = _det_width(n, n + search.bound)
+    if p.graph.is_edgeless:
+        ts = range(1, n + 1)
+        # Entries of t - M1 lie in [-(n + B), n + B]; digit t - 1 holds
+        # det(t - M1) offset by half a digit.
+        width = _det_width(n, n + search.bound)
+
+        def leaf_keys(cols, solutions):
+            cofs = cofactors(cols, ts)
+            base, coef = 0, [0] * n
+            for t, cof in zip(ts, cofs):
+                shift = width * (t - 1)
+                base += (t * cof[v] + (1 << (width - 1))) << shift
+                coef = [k - (c << shift) for k, c in zip(coef, cof)]
+            # The sorted solutions are closed under negation, so the j-th
+            # from the end is minus the j-th, and its key is 2 base - key.
+            keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
+            keys += [2 * base - key for key in reversed(keys)]
+            return keys, cofs[0]
+
+    elif len(set(search.degs)) > 1:
+        # Entry (r, u) of a diagonal block, offset by B, is one digit of
+        # base 2B + 1 for each column u and each row r of u's class.
+        degs, digit = search.degs, 2 * search.bound + 1
+        cells = [(u, r) for u in range(n) for r in range(n) if degs[r] == degs[u]]
+        weight = {cell: digit**i for i, cell in enumerate(cells)}
+        offset = search.bound * sum(weight.values())
+        placed_cells = [(u, r, w) for (u, r), w in weight.items() if u != v]
+        coef = [weight.get((v, r), 0) for r in range(n)]
+
+        def leaf_keys(cols, solutions):
+            base = offset + sum(cols[u][r] * w for u, r, w in placed_cells)
+            return [base + sum(map(mul, x, coef)) for x in solutions], None
+
+    else:
+        return direct_values
+
     memo: dict[int, int | None] = {}
 
-    def charpoly_values(cols, solutions):
-        base, coef = 0, [0] * n
-        for t, cof in zip(ts, cofactors(cols, ts)):
-            shift = width * (t - 1)
-            base += (t * cof[v] + (1 << (width - 1))) << shift
-            coef = [k - (c << shift) for k, c in zip(coef, cof)]
-        # The sorted solutions are closed under negation, so the j-th from
-        # the end is minus the j-th, and its key is 2 base - key.
-        keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
-        keys += [2 * base - key for key in reversed(keys)]
+    def leaf_values(cols, solutions):
+        keys, cof = leaf_keys(cols, solutions)
         missing = {key: x for key, x in zip(keys, solutions) if key not in memo}
         if missing:
-            memo.update(zip(missing, leaf_values(cols, list(missing.values()))))
+            memo.update(zip(missing, direct_values(cols, list(missing.values()), cof)))
         return [memo[key] for key in keys]
 
-    return charpoly_values
+    return leaf_values
 
 
 def _canonical(vectors) -> list[tuple[int, ...]]:
@@ -1278,9 +1316,15 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     smallest column tuple that realizes it.  The block structure is checked
     once per leaf (``_check_block_structure``), and the evaluator is built
     at the first leaf, so a search that runs out of budget before it does
-    not build one.  The search and its solved column systems live only in
-    this call, so an error the report raises afterwards does not keep them
-    alive."""
+    not build one.  The search, its solved column systems and the
+    evaluator's memo live only in this call, so an error the report raises
+    afterwards does not keep them alive.
+
+    With more than one degree class, R depends only on the diagonal blocks
+    of M1 (``_make_leaf_values``), so within a leaf the solutions that agree
+    on the rows of the solved vertex's class have one value under every
+    sign pattern.  Only the first of each such group can be a witness, so
+    the leaf is evaluated on those alone."""
     n = p.n
     search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     if n == 0:
@@ -1288,6 +1332,8 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
         return {1: ()}
     degs, comp_of, n_comps = search.degs, search.comp_of, len(search.comp_rows)
     check_structure = n_comps > 1 or len(set(degs)) > 1
+    rows = [r for r in range(n) if degs[r] == degs[search.order[-1]]]
+    restrict = itemgetter(*rows) if len(rows) < n else None
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
     leaf_values = None
@@ -1301,6 +1347,9 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
             cols = patterns[0]
             cols[v] = [any(x[r] for x in solutions) for r in range(n)]
             _check_block_structure(p, cols, degs, comp_of, n_comps)
+        if restrict is not None:
+            firsts = dict(zip(map(restrict, reversed(solutions)), reversed(solutions)))
+            solutions = sorted(firsts.values())
         for cols in patterns:
             values = leaf_values(cols, solutions)
             # Within one sign pattern the smallest solution gives the
@@ -1336,8 +1385,12 @@ def compute_spectrum_report(
     in vertex order against the whole group (``_SignedGroup``).  The test
     runs at every node of the search, on its placed columns, and a node
     with no pattern left is cut with its subtree.  That leaves the observed
-    values and the witnesses unchanged.  Each kept pattern is evaluated on its
-    own, against all of the leaf's solutions (``_make_leaf_values``).  The
+    values and the witnesses unchanged.  Each kept pattern is evaluated
+    against the leaf's solutions, through one memo per report keyed by the
+    characteristic polynomial (edgeless graphs) or by the diagonal blocks
+    of the degree filtration (``_make_leaf_values``).  With more than one
+    degree class only the smallest solution of each restriction to the rows
+    of the solved vertex's class is evaluated (``_observe``).  The
     comparisons that reach the solved column are not carried on per
     solution, and when vertex 0 is the solved vertex nothing is pruned.
     Aut(graph) is searched only while n! <= 5040; above that only the

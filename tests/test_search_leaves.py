@@ -1,13 +1,14 @@
 """The per-leaf evaluation of the bounded search: the leaf stream against
-the matrix stream, the leaf evaluator against ``reidemeister_number``, the
-recorded reports of the evaluation-heavy searches, and the consistency
-guards of the search."""
+the matrix stream, the leaf evaluator against ``reidemeister_number``, R
+constant per diagonal-block key over the matrix stream, the recorded
+reports of the evaluation-heavy searches and of three five-vertex classes,
+and the consistency guards of the search."""
 
 import gc
 import json
 import tracemalloc
 from itertools import islice
-from operator import mul
+from operator import call, itemgetter, mul
 from pathlib import Path
 
 import pytest
@@ -18,14 +19,16 @@ import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.exactlin import IntMatrix, det_flat
 from nilgraph.graphs import Graph, complete_graph, connected_components, empty_graph, path_graph
-from nilgraph.morphism import endo_from_matrix, reidemeister_number
+from nilgraph.morphism import endo_from_matrix, induced_commutator_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     Z1,
     SearchBudgetExceeded,
     SpectrumConsistencyError,
     _Budget,
+    _automorphism_columns,
     _check_block_structure,
+    _column_matrix,
     _det_width,
     _make_cofactors,
     _make_leaf_values,
@@ -37,6 +40,7 @@ from nilgraph.spectra import (
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "searches.json"
 CATALOG_GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog_reports.json"
+FIVE_VERTEX_GOLDEN = Path(__file__).resolve().parent / "golden" / "five_vertex_reports.json"
 CATALOG_BY_KEY = {e.key: e for e in CATALOG}
 DENSE_SEARCHES = (
     ("K3", 3),
@@ -83,10 +87,17 @@ LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + 
     pytest.param(empty_graph(5), 1, 20, False, id="N52"),
 ] + [
     # The kept sign patterns of the first leaves the report evaluates, with
-    # the symmetry group: the keyed evaluator on N42 and N32, the other on
-    # one_edge.
+    # the symmetry group: the characteristic-polynomial key on N42 and N32,
+    # the diagonal-block key on the others.
     pytest.param(CATALOG_BY_KEY[key].graph, bound, 20, True, id=f"{key}-B{bound}-grouped")
-    for key, bound in (("N42", 1), ("N32", 2), ("one_edge", 1))
+    for key, bound in (
+        ("N42", 1),
+        ("N32", 2),
+        ("one_edge", 1),
+        ("star", 1),
+        ("K3_plus_point", 1),
+        ("P3_plus_point", 2),
+    )
 ]
 
 
@@ -116,6 +127,77 @@ def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit, grouped):
     assert checked > 0
     if limit is None and not grouped:
         assert next(stream, None) is None
+
+
+def test_edgeless_memo_miss_reuses_the_key_cofactors(monkeypatch):
+    """Each kept pattern of N32 at bound 2 computes the cofactors of its
+    solved column once: a memo miss is evaluated from the t = 1 row of the
+    cofactors that built the keys."""
+    g = empty_graph(3)
+    calls = []
+    make_cofactors = spectra._make_cofactors
+
+    def counting(order):
+        cofactors = make_cofactors(order)
+
+        def counted(cols, ts):
+            calls.append(ts)
+            return cofactors(cols, ts)
+
+        return counted
+
+    monkeypatch.setattr(spectra, "_make_cofactors", counting)
+    compute_spectrum_report(g, 2)
+    kept = sum(len(patterns) for *_, patterns in _search(g, 2).leaves(_SignedGroup(g)))
+    assert len(calls) == kept
+
+
+# Every catalog class with more than one degree class at bound 1, and
+# P3_plus_point at bound 2, with the step m of the keys checked: a prime
+# that leaves a few thousand matrices of the stream.
+BLOCK_CASES = [(e.key, 1) for e in CATALOG if len(set(e.graph.degrees())) > 1] + [("P3_plus_point", 2)]
+BLOCK_KEY_STEPS = {
+    ("K2_plus_point", 1): 1,
+    ("P3", 1): 1,
+    ("one_edge", 1): 41,
+    ("P3_plus_point", 1): 13,
+    ("K3_plus_point", 1): 127,
+    ("star", 1): 127,
+    ("P4", 1): 1,
+    ("paw", 1): 13,
+    ("diamond", 1): 41,
+    ("P3_plus_point", 2): 101,
+}
+
+
+@pytest.mark.parametrize("key, bound", BLOCK_CASES, ids=[f"{k}-B{b}" for k, b in BLOCK_CASES])
+def test_r_is_constant_per_diagonal_block_key(key, bound):
+    """Over the matrix stream, R depends only on the diagonal blocks of the
+    degree filtration: each column on the rows of its own degree class.
+    R is computed here without the leaf evaluator, from det_flat of 1 - M1
+    and of 1 - M2 (``induced_commutator_matrix``).  The stream is
+    subsampled by key: the distinct keys are numbered in the order the
+    stream meets them, and every matrix of each m-th key is checked, with
+    the step m of ``BLOCK_KEY_STEPS``.  Only the first 400,000 matrices are
+    read: all of every stream but that of P3_plus_point at bound 2, whose
+    first 400,000 of 1,300,000 matrices hold 321 of its 416 keys."""
+    g = CATALOG_BY_KEY[key].graph
+    p = Presentation.of(g)
+    n, N, degs = g.n, p.N, g.degrees()
+    blocks = [itemgetter(*(r for r in range(n) if degs[r] == degs[u])) for u in range(n)]
+    step = BLOCK_KEY_STEPS[key, bound]
+    eye = IntMatrix.identity(N)
+    numbers: dict[tuple, int] = {}
+    values: dict[tuple, int] = {}
+    for cols in islice(_automorphism_columns(p, bound), 400_000):
+        blocks_key = tuple(map(call, blocks, cols))
+        if numbers.setdefault(blocks_key, len(numbers)) % step:
+            continue
+        m1 = [(1 if r == c else 0) - cols[c][r] for r in range(n) for c in range(n)]
+        m2 = eye - induced_commutator_matrix(p, _column_matrix(cols))
+        value = det_flat(m1, n) * det_flat(list(m2.entries), N)
+        assert values.setdefault(blocks_key, value) == value, (blocks_key, cols)
+    assert len(values) > 1
 
 
 @st.composite
@@ -182,6 +264,26 @@ def test_catalog_reports_match_the_recorded_reports(reports):
     for e in CATALOG:
         got = reports.get(e.graph, e.verify_bound).to_json()
         assert json.dumps(got, sort_keys=True) == golden[e.key], e.key
+
+
+# Five-vertex classes at bound 1, where an isolated vertex puts the solved
+# column in a class of its own.
+FIVE_VERTEX = {
+    "P3_plus_two_points": [(0, 1), (1, 2)],
+    "diamond_plus_point": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+    "star_plus_point": [(0, 1), (0, 2), (0, 3)],
+}
+
+
+def test_five_vertex_reports_match_the_recorded_reports(reports):
+    """Report JSON of three five-vertex classes at bound 1, byte for byte as
+    recorded."""
+    with open(FIVE_VERTEX_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(FIVE_VERTEX)
+    for key, edges in FIVE_VERTEX.items():
+        got = reports.get(Graph.from_edges(5, edges), 1).to_json()
+        assert json.dumps(got, sort_keys=True) == golden[key], key
 
 
 class TestBlockStructureGuard:
