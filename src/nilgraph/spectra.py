@@ -738,19 +738,22 @@ class _SignedGroup:
         psi with pi(0) = 0."""
         return self._lowest(0, c)[0] == c
 
-    def _smaller(self, cols, q, root, par) -> bool | None:
+    def _smaller(self, cols, q, root, par, start: int) -> bool | tuple:
         """Whether some image under q = pi^-1, with signs in the classes
         root, par, is smaller than the matrix with columns ``cols``, compared
-        on columns 1, 2, ...: None (undecided) when a column that is None
-        enters the comparison before it is decided.  A decision never
-        changes when further columns are placed."""
+        on columns start, start + 1, ...: True or False once decided, and
+        otherwise the pending comparison (q, root, par, k) that resumes at
+        the first column k whose comparison reads a column that is None,
+        with the classes merged by the ties before k.  A decision never
+        changes when further columns are placed, nor do the columns before
+        k compare otherwise."""
         n = self.n
         copied = False
-        for k in range(1, n):
+        for k in range(start, n):
             w = q[k]
             src, dst = cols[w], cols[k]
             if src is None or dst is None:
-                return None
+                return q, root, par, k
             rw, pw = root[w], par[w]
             for r in range(n):
                 i = q[r]
@@ -784,13 +787,14 @@ class _SignedGroup:
         since no comparison can start.  From then on it is the list of
         surviving branches (x0, cols, pending): x0 the sign of column 0 (a
         column that leads, ``leads``), cols the n signed columns so far
-        (None where not placed), and pending the comparisons (q, root, par)
-        that ``_smaller`` has not decided yet.  Placing a column settles
-        its column-0 images by table lookups (``_lowest``): an image below
-        x0 drops the branch, and a tie adds its pi to pending, with the
-        sign classes it forces (s_i = -sign(col[i]) s_u).  Then every
-        pending comparison is re-run: a decided "smaller" drops the
-        branch, and an undecided one is kept for the next column.  An empty
+        (None where not placed), and pending the comparisons
+        (q, root, par, k) that ``_smaller`` has not decided yet, each to
+        resume at column k.  Placing a column settles its column-0 images
+        by table lookups (``_lowest``): an image below x0 drops the branch,
+        and a tie adds its pi to pending from column 1, with the sign
+        classes it forces (s_i = -sign(col[i]) s_u).  Then every pending
+        comparison resumes: a decided "smaller" drops the branch, and an
+        undecided one is kept for the next column.  An empty
         list means that no sign pattern of the placed columns can hold a
         leader, so neither can any matrix below the node."""
         if isinstance(state, tuple):
@@ -816,16 +820,16 @@ class _SignedGroup:
                             root = [u if x else i for i, x in enumerate(col)]
                             par = [-1 if x > 0 else 1 for x in col]
                             root[u], par[u] = u, 1
-                            checks = pending + [(q, root, par) for q in tied]
+                            checks = pending + [(q, root, par, 1) for q in tied]
                     signed = cols[:]
                     signed[u] = col
                     left = []
                     for check in checks:
                         smaller = self._smaller(signed, *check)
-                        if smaller:
+                        if smaller is True:
                             break
-                        if smaller is None:
-                            left.append(check)
+                        if smaller:
+                            left.append(smaller)
                     else:
                         grown.append((x0, signed, left))
             state = grown
@@ -892,6 +896,29 @@ def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _packed_solutions(packed, g) -> tuple:
+    """The solutions of g.x = +-1 in a packed last-column pool (see
+    ``_Search._unit_solutions``), sorted: one packed dot product.
+    Candidate j fills slot j of each packed coordinate, a byte-aligned slot
+    wide enough for |g.x| <= n! bound^n; shifted by half a slot, g.x = +-1
+    are two byte strings found at slot offsets.  A solution is primitive
+    and the system is homogeneous, so the solution or its negation is in
+    the pool, and every negated candidate sorts below every candidate."""
+    pool, negated, size, offset, coords, targets, _ = packed
+    data = sum(map(mul, g, coords), offset).to_bytes(size * len(pool), "little")
+    hits = []
+    for target in targets:
+        i = data.find(target)
+        while i >= 0:
+            if i % size:
+                i = data.find(target, i + 1)
+            else:
+                hits.append(i // size)
+                i = data.find(target, i + size)
+    hits.sort()
+    return tuple([negated[j] for j in reversed(hits)] + [pool[j] for j in hits])
+
+
 class _Search:
     """Column-by-column enumeration of relation-preserving unimodular
     matrices with bounded entries.
@@ -904,7 +931,10 @@ class _Search:
     systems many times, so each (allowed rows, system) pair is solved once
     per search and its pool reused (``_pool``); the pool of the box is the
     entry of the empty system.  The last column is the pool of its system
-    filtered by the determinant condition g.x = +-1 (``_solve_last``).
+    filtered by the determinant condition g.x = +-1 (``_solve_last``), and
+    that solve too is kept per search, by (rows, system, +-g), so the
+    leaves that meet one key share one tuple of solutions
+    (``_unit_solutions``).
     Column signs are canonicalized during the walk and expanded at the
     leaves, which is lossless because every constraint in play is
     invariant under negating a column.  Partial column sets are
@@ -959,8 +989,8 @@ class _Search:
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
         # Per (allowed rows, relation system): the canonical candidates, and
-        # for a last column those candidates packed for g.x (see
-        # ``_unit_solutions``).
+        # for a last column those candidates negated and packed for g.x, with
+        # the solutions per +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
         # Per allowed rows: the slots of the non-edges in a relation row.
@@ -999,15 +1029,14 @@ class _Search:
             pool = self._pools[key] = _canonical(solved)
         return pool
 
-    def _unit_solutions(self, rows: tuple[int, ...], system: frozenset, g: list[int]) -> list:
+    def _unit_solutions(self, rows: tuple[int, ...], system: frozenset, g: list[int]) -> tuple:
         """The sorted columns x on ``rows`` of the box that solve the
-        relation ``system`` and g.x = +-1: the pool of the system (``_pool``)
-        filtered by one packed dot product.  Candidate j fills slot j of each
-        packed coordinate, a byte-aligned slot wide enough for
-        |g.x| <= n! bound^n; shifted by half a slot, g.x = +-1 are two byte
-        strings found at slot offsets.  A solution is primitive and the
-        system is homogeneous, so the solution or its negation is in the
-        pool, and every negated candidate sorts below every candidate."""
+        relation ``system`` and g.x = +-1, solved once per search and shared
+        by every last column that asks again.  The pool of the system
+        (``_pool``) is packed once (see ``_packed_solutions``), and the
+        solutions of each +-g are kept with the packing: g.x = +-1 does not
+        change under g -> -g, so g is keyed with its first nonzero entry
+        positive (g = 0 keys as it is and has no solutions)."""
         key = rows, system
         packed = self._packed.get(key)
         if packed is None:
@@ -1020,20 +1049,19 @@ class _Search:
                 digits = b"".join([(x[r] + half).to_bytes(size, "little") for x in pool])
                 coords.append(int.from_bytes(digits, "little") - offset)
             targets = [(half + d).to_bytes(size, "little") for d in (-1, 1)]
-            packed = self._packed[key] = pool, size, offset, coords, targets
-        pool, size, offset, coords, targets = packed
-        data = sum(map(mul, g, coords), offset).to_bytes(size * len(pool), "little")
-        hits = []
-        for target in targets:
-            i = data.find(target)
-            while i >= 0:
-                if i % size:
-                    i = data.find(target, i + 1)
-                else:
-                    hits.append(i // size)
-                    i = data.find(target, i + size)
-        hits.sort()
-        return [tuple(map(neg, pool[j])) for j in reversed(hits)] + [pool[j] for j in hits]
+            negated = [tuple(map(neg, x)) for x in pool]
+            packed = self._packed[key] = pool, negated, size, offset, coords, targets, {}
+        solved = packed[-1]
+        for c in g:
+            if c:
+                if c < 0:
+                    g = [-c for c in g]
+                break
+        g = tuple(g)
+        solutions = solved.get(g)
+        if solutions is None:
+            solutions = solved[g] = _packed_solutions(packed, g)
+        return solutions
 
     def _column_options(self, v: int, target, used_targets):
         """Yield (component_choice, rows_allowed) branches for column v."""
@@ -1316,15 +1344,18 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     smallest column tuple that realizes it.  The block structure is checked
     once per leaf (``_check_block_structure``), and the evaluator is built
     at the first leaf, so a search that runs out of budget before it does
-    not build one.  The search, its solved column systems and the
-    evaluator's memo live only in this call, so an error the report raises
-    afterwards does not keep them alive.
+    not build one.  The search, its solved column systems, its memoized
+    last-column solves and the evaluator's memo live only in this call, so
+    an error the report raises afterwards does not keep them alive.
 
     With more than one degree class, R depends only on the diagonal blocks
     of M1 (``_make_leaf_values``), so within a leaf the solutions that agree
     on the rows of the solved vertex's class have one value under every
     sign pattern.  Only the first of each such group can be a witness, so
-    the leaf is evaluated on those alone."""
+    the leaf is evaluated on those alone.  The leaves that share a solve
+    (``_Search._unit_solutions``) share one solutions object, so the
+    support union and these first solutions are derived once per object,
+    not once per leaf."""
     n = p.n
     search = _Search(p, bound, struct_prunes, _Budget(node_budget))
     if n == 0:
@@ -1336,20 +1367,31 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     restrict = itemgetter(*rows) if len(rows) < n else None
     # Witness ties are broken by the lexicographically smallest column tuple.
     observed: dict[int, tuple] = {}
+    # Per solutions object (the search shares one per distinct solve): the
+    # object, which keeps its id from being reused, the union of its
+    # supports and the first solution of each restriction.  A restriction
+    # needs a second degree class, so the structure is checked then too.
+    derived: dict[int, tuple] = {}
     leaf_values = None
     for v, _, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
         if leaf_values is None:
             leaf_values = _make_leaf_values(search)
         if check_structure:
-            # Signs never change a support and no solution is zero, so the
-            # union of the solutions' supports as column v passes exactly
-            # when every matrix of the leaf does.
+            hit = derived.get(id(solutions))
+            if hit is None:
+                # Signs never change a support and no solution is zero, so
+                # the union of the solutions' supports as column v passes
+                # exactly when every matrix of the leaf does.
+                support = [any(x[r] for x in solutions) for r in range(n)]
+                firsts = solutions
+                if restrict is not None:
+                    firsts = dict(zip(map(restrict, reversed(solutions)), reversed(solutions)))
+                    firsts = sorted(firsts.values())
+                hit = derived[id(solutions)] = solutions, support, firsts
+            _, support, solutions = hit
             cols = patterns[0]
-            cols[v] = [any(x[r] for x in solutions) for r in range(n)]
+            cols[v] = support
             _check_block_structure(p, cols, degs, comp_of, n_comps)
-        if restrict is not None:
-            firsts = dict(zip(map(restrict, reversed(solutions)), reversed(solutions)))
-            solutions = sorted(firsts.values())
         for cols in patterns:
             values = leaf_values(cols, solutions)
             # Within one sign pattern the smallest solution gives the
@@ -1390,9 +1432,12 @@ def compute_spectrum_report(
     characteristic polynomial (edgeless graphs) or by the diagonal blocks
     of the degree filtration (``_make_leaf_values``).  With more than one
     degree class only the smallest solution of each restriction to the rows
-    of the solved vertex's class is evaluated (``_observe``).  The
-    comparisons that reach the solved column are not carried on per
-    solution, and when vertex 0 is the solved vertex nothing is pruned.
+    of the solved vertex's class is evaluated (``_observe``).  The last
+    column is solved once per (rows, system, +-g) of the report
+    (``_Search._unit_solutions``), and the leaves that meet one key share
+    its solutions.  The comparisons that reach the solved column are not
+    carried on per solution, and when vertex 0 is the solved vertex
+    nothing is pruned.
     Aut(graph) is searched only while n! <= 5040; above that only the
     signs are used.
     """

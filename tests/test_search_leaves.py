@@ -77,7 +77,7 @@ class TestEmptyAndSingleVertex:
         assert rep.observed == (2,)
         assert rep.to_json()["witnesses"] == {"2": [[-1]]}
         leaves = list(_search(empty_graph(1), 2).leaves())
-        assert leaves == [(0, (), [(-1,), (1,)], [[None]])]
+        assert leaves == [(0, (), ((-1,), (1,)), [[None]])]
 
 
 LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + [
@@ -150,6 +150,33 @@ def test_edgeless_memo_miss_reuses_the_key_cofactors(monkeypatch):
     compute_spectrum_report(g, 2)
     kept = sum(len(patterns) for *_, patterns in _search(g, 2).leaves(_SignedGroup(g)))
     assert len(calls) == kept
+
+
+def test_last_columns_share_one_solve_per_key(monkeypatch):
+    """The last columns of the P3_plus_point report at bound 2 that meet one
+    (rows, system, +-g) receive one solutions object, and the pool is
+    filtered once per distinct key: 274 last columns, one key."""
+    graph = CATALOG_BY_KEY["P3_plus_point"].graph
+    filtered = []
+    received: dict[tuple, list] = {}
+    packed_solutions, unit_solutions = spectra._packed_solutions, _Search._unit_solutions
+
+    def counting(packed, g):
+        filtered.append(g)
+        return packed_solutions(packed, g)
+
+    def recording(self, rows, system, g):
+        solutions = unit_solutions(self, rows, system, g)
+        sign = next((1 if c > 0 else -1 for c in g if c), 1)
+        received.setdefault((rows, system, tuple(sign * c for c in g)), []).append(solutions)
+        return solutions
+
+    monkeypatch.setattr(spectra, "_packed_solutions", counting)
+    monkeypatch.setattr(_Search, "_unit_solutions", recording)
+    compute_spectrum_report(graph, 2)
+    assert all(x is xs[0] for xs in received.values() for x in xs)
+    assert len(filtered) == len(received) == 1
+    assert sum(map(len, received.values())) == 274
 
 
 # Every catalog class with more than one degree class at bound 1, and
@@ -378,6 +405,22 @@ class TestReportGuards:
         finally:
             tracemalloc.stop()
         assert peak < 20_000_000
+
+    def test_last_column_memo_stays_small(self):
+        """The last-column solves are memoized for the whole report, one
+        entry per distinct (rows, system, +-g): K3 at bound 3 keeps 1,787
+        of them over 3,693 last columns and peaks under 4 MB.  An entry holds only
+        the shared sorted tuple of its solutions, whose columns are those of
+        the pool and of the pool negated once per system, and the report
+        derives only the union of their supports and the first solution of
+        each restriction per entry, never per leaf."""
+        tracemalloc.start()
+        try:
+            compute_spectrum_report(CATALOG_BY_KEY["K3"].graph, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_value_outside_closed_form(self, monkeypatch):
         # K2 realizes 1, 2, 3 at bound 1; claim the spectrum is {2, inf}

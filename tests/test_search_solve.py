@@ -1,8 +1,8 @@
 """The exact solve of the search's linear constraints: the column stream of
 the bounded search against a recorded golden, the homogeneous solve and the
-packed last-column filter against brute-force scans of the box, the reused
-column systems against fresh solves, the budget of whole walks and of one
-pool, and ``rank`` through the shared elimination.
+packed last-column filter and its memo against brute-force scans of the
+box, the reused column systems against fresh solves, the budget of whole
+walks and of one pool, and ``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
@@ -162,7 +162,7 @@ def test_search_columns_match_the_minor_filter(data):
     g = [minors[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in range(n)]
     want = [x for x in box if related(x) and sum(map(mul, g, x)) in (1, -1)]
     leaf = search._solve_last(v, rows, placed, minors)
-    assert (leaf[2] if leaf else []) == want
+    assert (list(leaf[2]) if leaf else []) == want
 
 
 def _fresh_pool(system, rows, n, bound):
@@ -221,7 +221,32 @@ def test_packed_filter_matches_the_determinant_row(data):
         for x in _box(n, bound, rows)
         if not any(_dot(row, rows, x) for row in system) and _dot(g, rows, x) in (1, -1)
     ]
-    assert search._unit_solutions(rows, system, g) == want
+    assert list(search._unit_solutions(rows, system, g)) == want
+
+
+@given(st.data())
+def test_last_column_solves_are_shared_by_g_and_minus_g(data):
+    """Each (rows, system, +-g) is solved once per search: every sign
+    variant of g, asked on two row sets of the same size, returns the scan
+    of the box on those rows, and g and -g return one tuple.  g = 0 has
+    no solutions."""
+    n = data.draw(st.integers(1, 4))
+    bound = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(1, n))
+    choices = st.sampled_from(list(combinations(range(n), k)))
+    row_sets = data.draw(st.lists(choices, min_size=2, max_size=2))
+    relations = _relations(data.draw, k, st.integers(-bound, bound), data.draw(st.integers(0, 2)))
+    system = frozenset(tuple(row) for row in relations if any(row))
+    g = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    for rows in row_sets:
+        related = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in system)]
+        for signs in product((1, -1), repeat=k):
+            signed = [s * c for s, c in zip(signs, g)]
+            got = search._unit_solutions(rows, system, signed)
+            assert list(got) == [x for x in related if _dot(signed, rows, x) in (1, -1)]
+            assert search._unit_solutions(rows, system, [-c for c in signed]) is got
+        assert search._unit_solutions(rows, system, [0] * k) == ()
 
 
 CATALOG_BY_KEY = {e.key: e for e in CATALOG}
