@@ -52,9 +52,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if u != v and self.has_edge(u, v)]
-
     def degree(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise IndexError(f"vertex {v} out of range")
@@ -256,49 +253,58 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     return JoinDecomposition(apex, tuple(factors), _type_partition(g, factors))
 
 
-def _refine_by_neighbor_degrees(g: Graph) -> list[tuple]:
-    degs = g.degrees()
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in g.neighbors(v)))) for v in range(g.n)
-    ]
+def _structure(g: Graph) -> tuple[list[list[int]], list[tuple]]:
+    """The neighbour list of each vertex, read once from the edges, and its
+    signature: its degree and the sorted degrees of its neighbours."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return nbrs, [(len(a), sorted(len(nbrs[u]) for u in a)) for a in nbrs]
+
+
+def isomorphisms(g1: Graph, g2: Graph):
+    """Yield each isomorphism pi from g1 to g2 (vertex v goes to pi[v]) once,
+    by backtracking (McKay and Piperno 2014).  A vertex maps only to one of
+    its signature and adjacent to exactly the images of its placed
+    neighbours.  The next vertex placed is the one with the most neighbours
+    placed, ties broken by signature, then label."""
+    n = g1.n
+    if n != g2.n or len(g1.edges) != len(g2.edges):
+        return
+    nbrs1, sig1 = _structure(g1)
+    nbrs2, sig2 = _structure(g2)
+    if sorted(sig1) != sorted(sig2):
+        return
+    masks2 = [sum(1 << u for u in a) for a in nbrs2]
+    left = sorted(range(n), key=lambda v: (sig1[v], v))
+    order, back, placed = [], [], [0] * n
+    while left:
+        v = max(left, key=placed.__getitem__)
+        left.remove(v)
+        back.append([w for w in nbrs1[v] if w in order])
+        order.append(v)
+        for u in nbrs1[v]:
+            placed[u] += 1
+    cands = [[u for u in range(n) if sig2[u] == sig1[v]] for v in order]
+    pi = [0] * n
+
+    def extend(k: int, used: int):
+        if k == n:
+            yield tuple(pi)
+            return
+        want = sum(1 << pi[w] for w in back[k])
+        for u in cands[k]:
+            if not used >> u & 1 and masks2[u] & used == want:
+                pi[order[k]] = u
+                yield from extend(k + 1, used | 1 << u)
+
+    yield from extend(0, 0)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exhaustive isomorphism test with degree-based pruning (meant for n <= 8)."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    sig1 = _refine_by_neighbor_degrees(g1)
-    sig2 = _refine_by_neighbor_degrees(g2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    n = g1.n
-    order = sorted(range(n), key=lambda v: (sig1[v], v))
-    candidates = [[u for u in range(n) if sig2[u] == sig1[v]] for v in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in order[:k]:
-                if g1.has_edge(v, w) != g2.has_edge(u, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = u
-                used[u] = True
-                if extend(k + 1):
-                    return True
-                used[u] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    """Whether g1 and g2 are isomorphic: ``isomorphisms`` yields one."""
+    return next(isomorphisms(g1, g2), None) is not None
 
 
 def graph_from_json(data) -> Graph:

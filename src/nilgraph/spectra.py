@@ -11,7 +11,7 @@ always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count, permutations, product
+from itertools import combinations, count, islice, product
 from math import factorial, gcd, isqrt
 from operator import itemgetter, mul, neg
 
@@ -22,6 +22,7 @@ from .graphs import (
     induced_subgraph,
     is_complete_plus_point,
     is_connected,
+    isomorphisms,
     join_decompose,
 )
 from .morphism import endo_from_matrix
@@ -667,27 +668,21 @@ def _canonical(vectors) -> list[tuple[int, ...]]:
     return out
 
 
-# Aut(graph) is searched among all n! vertex permutations only up to this
-# many; above it the group of signs (pi = id) is used alone.
-_PERMUTATION_CAP = 5040
+# A larger Aut(graph) is replaced by the identity: the signs are used alone.
+_GROUP_CAP = 5040
 
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """The vertex permutations pi (vertex i goes to pi[i]) that map the
-    edges onto the edges, or only the identity when n! exceeds the cap."""
-    if factorial(g.n) > _PERMUTATION_CAP:
-        return [tuple(range(g.n))]
-    return [
-        pi
-        for pi in permutations(range(g.n))
-        if all(g.has_edge(pi[a], pi[b]) for a, b in g.edges)
-    ]
+    """The automorphisms pi of g (vertex i goes to pi[i]), sorted, or only the
+    identity when there are more than the cap.  Either way a group."""
+    group = sorted(islice(isomorphisms(g, g), _GROUP_CAP + 1))
+    return group if len(group) <= _GROUP_CAP else [tuple(range(g.n))]
 
 
 class _SignedGroup:
     """The signed automorphisms psi = P_pi D_s of a graph (pi in Aut(graph),
-    see ``_automorphisms``; s a sign vector, up to a common sign) acting on
-    the matrices X of a search by conjugation.  Entry (i, j) of X goes to
+    or pi = id if |Aut| > 5040; s a sign vector, up to a common sign) acting
+    on the matrices X of a search by conjugation.  Entry (i, j) of X goes to
     (pi(i), pi(j)) with the sign s_i s_j, so column k of psi X psi^-1 is
     column w = pi^-1(k) of X with s_w s_i X[i][w] moved to row pi(i).  A
     matrix is compared with its images column by column in vertex order,
@@ -716,9 +711,9 @@ class _SignedGroup:
 
     def __init__(self, g: Graph):
         n = self.n = g.n
-        # Inverse permutations q = pi^-1, grouped by the source q[0] of column 0.
-        inverses = [tuple(sorted(range(n), key=pi.__getitem__)) for pi in _automorphisms(g)]
-        self._to_zero = [[q for q in inverses if q[0] == u] for u in range(n)]
+        # q = pi^-1 (a group holds each inverse), by the source q[0] of column 0.
+        group = _automorphisms(g)
+        self._to_zero = [[q for q in group if q[0] == u] for u in range(n)]
         self._tables: dict[tuple, tuple] = {}
 
     def _lowest(self, u: int, c: tuple[int, ...]) -> tuple:
@@ -1438,8 +1433,7 @@ def compute_spectrum_report(
     its solutions.  The comparisons that reach the solved column are not
     carried on per solution, and when vertex 0 is the solved vertex
     nothing is pruned.
-    Aut(graph) is searched only while n! <= 5040; above that only the
-    signs are used.
+    Only the signs are used when Aut(graph) has over 5040 elements.
     """
     if bound is None:
         bound = default_bound(g)

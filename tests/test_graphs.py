@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,12 +11,14 @@ from nilgraph.graphs import (
     connected_components,
     cycle_graph,
     degree_filtration,
+    disjoint_union,
     empty_graph,
     graph_from_text,
     induced_subgraph,
     is_complete_plus_point,
     is_connected,
     is_isomorphic,
+    isomorphisms,
     join_decompose,
     path_graph,
     simplicial_join,
@@ -200,6 +202,39 @@ class TestIsomorphism:
         for a in matching:
             for b in matching:
                 assert is_isomorphic(a, b)
+
+    @staticmethod
+    def _brute(g, h):
+        """Every permutation pi with pi(g) = h, by trying all n! of them."""
+        return [
+            pi
+            for pi in permutations(range(g.n))
+            if len(g.edges) == len(h.edges) and all(h.has_edge(pi[a], pi[b]) for a, b in g.edges)
+        ]
+
+    def test_isomorphisms_of_every_pair_on_four_vertices(self):
+        """isomorphisms(g, h) yields exactly the brute-force isomorphisms,
+        each once: |Aut(g)| of them when g and h are isomorphic, else none."""
+        graphs = list(all_graphs(4))
+        for g in graphs:
+            for h in graphs:
+                found = list(isomorphisms(g, h))
+                assert sorted(found) == self._brute(g, h), (g, h)
+
+    def test_isomorphisms_onto_a_relabelling(self):
+        """On a seeded sample with 5 and 6 vertices, a relabelling h of g
+        receives |Aut(g)| distinct isomorphisms, and a graph with the same
+        degrees that is not isomorphic receives none."""
+        rng = random.Random(7)
+        for n in (5, 6):
+            graphs = list(all_graphs(n))
+            for g in rng.sample(graphs, 60):
+                perm = rng.sample(range(n), n)
+                h = Graph.from_edges(n, [(perm[i], perm[j]) for i, j in g.edges])
+                found = set(isomorphisms(g, h))
+                assert len(found) == len(self._brute(g, g))
+                assert found == set(self._brute(g, h))
+        assert list(isomorphisms(cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)))) == []
 
 
 class TestInducedSubgraph:
