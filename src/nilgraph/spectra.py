@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, count, islice, product
-from math import factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 from operator import itemgetter, mul, neg
 
 from .exactlin import ExtNat, IntMatrix, det_flat, echelon
@@ -668,6 +668,15 @@ def _canonical(vectors) -> list[tuple[int, ...]]:
     return out
 
 
+def _picker(indices):
+    """The getter x -> (x[indices[0]], x[indices[1]], ...), a tuple even for
+    one index (``itemgetter`` of one index returns the item itself)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda x: (x[i],)
+    return itemgetter(*indices)
+
+
 # A larger Aut(graph) is replaced by the identity: the signs are used alone.
 _GROUP_CAP = 5040
 
@@ -699,8 +708,9 @@ class _SignedGroup:
     a table holds the smallest column-0 image of c over the pi with
     pi(u) = 0 and all signs (row 0 holds c[u], row pi(i) at best -|c[i]|)
     and the pi that reach it.  Only those pi are compared on further
-    columns.  The tables are keyed by (u, c), not by group element, and
-    live as long as this object.
+    columns.  There is one table per source vertex u, keyed by the column
+    alone, not by group element, and the tables live as long as this
+    object.
 
     A comparison reads the columns in vertex order and stops at the first
     one not placed yet, so one decided on the placed columns of a search
@@ -712,20 +722,23 @@ class _SignedGroup:
     def __init__(self, g: Graph):
         n = self.n = g.n
         # q = pi^-1 (a group holds each inverse), by the source q[0] of column 0.
+        # Each q comes with the getter of its image, x -> (x[q[0]], x[q[1]], ...).
         group = _automorphisms(g)
-        self._to_zero = [[q for q in group if q[0] == u] for u in range(n)]
-        self._tables: dict[tuple, tuple] = {}
+        self._to_zero = [[(_picker(q), q) for q in group if q[0] == u] for u in range(n)]
+        self._tables: list[dict[tuple, tuple]] = [{} for _ in range(n)]
 
     def _lowest(self, u: int, c: tuple[int, ...]) -> tuple:
         """(low, tied): the smallest column-0 image of column c of source u,
-        and the q = pi^-1 with q[0] = u that reach it."""
-        hit = self._tables.get((u, c))
+        and the q = pi^-1 with q[0] = u that reach it, kept in the table of
+        source u under the key c."""
+        table = self._tables[u]
+        hit = table.get(c)
         if hit is None:
             mags = [-abs(x) for x in c]
             mags[u] = c[u]
-            images = [(tuple(mags[i] for i in q), q) for q in self._to_zero[u]]
+            images = [(image(mags), q) for image, q in self._to_zero[u]]
             low = min(images)[0]
-            hit = self._tables[(u, c)] = low, [q for image, q in images if image == low]
+            hit = table[c] = low, [q for image, q in images if image == low]
         return hit
 
     def leads(self, c: tuple[int, ...]) -> bool:
@@ -788,10 +801,12 @@ class _SignedGroup:
         by table lookups (``_lowest``): an image below x0 drops the branch,
         and a tie adds its pi to pending from column 1, with the sign
         classes it forces (s_i = -sign(col[i]) s_u).  Then every pending
-        comparison resumes: a decided "smaller" drops the branch, and an
-        undecided one is kept for the next column.  An empty
-        list means that no sign pattern of the placed columns can hold a
-        leader, so neither can any matrix below the node."""
+        comparison whose columns k and q[k] are both placed resumes: a
+        decided "smaller" drops the branch, and an undecided one is kept
+        for a later column.  A comparison that still waits on column k or
+        on column q[k] is kept as it is, since it would stop there again.
+        An empty list means that no sign pattern of the placed columns can
+        hold a leader, so neither can any matrix below the node."""
         if isinstance(state, tuple):
             state += ((u, c),)
             if u != 0:
@@ -800,12 +815,15 @@ class _SignedGroup:
             state = [(x0, [None] * self.n, []) for x0 in (c, tuple(map(neg, c))) if self.leads(x0)]
         else:
             steps = ((u, c),)
+        smaller = self._smaller
         for u, c in steps:
+            signs = c, tuple(map(neg, c))
+            to_zero = self._to_zero[u]
             grown = []
             for x0, cols, pending in state:
-                for col in (c, tuple(map(neg, c))):
+                for col in signs:
                     checks = pending
-                    if self._to_zero[u]:
+                    if to_zero:
                         if u == 0 and col != x0:
                             continue
                         low, tied = self._lowest(u, col)
@@ -820,11 +838,15 @@ class _SignedGroup:
                     signed[u] = col
                     left = []
                     for check in checks:
-                        smaller = self._smaller(signed, *check)
-                        if smaller is True:
+                        q, _, _, k = check
+                        if signed[k] is None or signed[q[k]] is None:
+                            left.append(check)
+                            continue
+                        decided = smaller(signed, *check)
+                        if decided is True:
                             break
-                        if smaller:
-                            left.append(smaller)
+                        if decided:
+                            left.append(decided)
                     else:
                         grown.append((x0, signed, left))
             state = grown
@@ -853,6 +875,31 @@ def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
     return {c for c in columns if group.leads(c)}
 
 
+def _canonical_system(system) -> tuple[tuple[int, ...], ...]:
+    """The canonical form of a homogeneous integer ``system`` (rows of one
+    length): its reduced row echelon form over Q, each row scaled to be
+    primitive with a positive pivot, as a tuple of rows by pivot.  Systems
+    with the same row space over Q, and so with the same solutions, and
+    only those, have the same form."""
+    a = [list(row) for row in system]
+    if not a:
+        return ()
+    pivots = echelon(a, len(a[0]))
+    del a[len(pivots) :]
+    # Bottom row first: scale it, then clear its pivot from the rows above.
+    # That keeps their pivots, and their zeros at the pivots of the rows
+    # below, where this row is zero too.
+    for i in reversed(range(len(pivots))):
+        row, p = a[i], pivots[i]
+        d = gcd(*row)
+        row = a[i] = [x // d for x in row] if row[p] > 0 else [-x // d for x in row]
+        for j in range(i):
+            e = a[j][p]
+            if e:
+                a[j] = [x * row[p] - e * y for x, y in zip(a[j], row)]
+    return tuple(map(tuple, a))
+
+
 def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
     """Every length-n column x supported on ``rows`` with entries in
     [-bound, bound] that solves the homogeneous ``system`` (its rows,
@@ -876,8 +923,7 @@ def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
     take = [0] * n
     for i, j in enumerate(order, 1):
         take[rows[j]] = i
-    # itemgetter of one index returns the item, not a 1-tuple.
-    pick = itemgetter(*take) if n > 1 else lambda vals: (vals[take[0]],)
+    pick = _picker(take)
     span = range(-bound, bound + 1)
     out = []
     for vals in product((0,), *[span] * nfree):
@@ -922,20 +968,23 @@ class _Search:
     edge relations tie a new column x to each placed neighbour column u by
     u[a] x[b] = u[b] x[a] for every non-edge (a, b), which is linear in x;
     so the candidates for a column are the solutions of that integer system
-    in the box (see ``_box_solutions``).  The walk meets few distinct
-    systems many times, so each (allowed rows, system) pair is solved once
-    per search and its pool reused (``_pool``); the pool of the box is the
-    entry of the empty system.  The last column is the pool of its system
-    filtered by the determinant condition g.x = +-1 (``_solve_last``), and
-    that solve too is kept per search, by (rows, system, +-g), so the
-    leaves that meet one key share one tuple of solutions
-    (``_unit_solutions``).
+    in the box (see ``_box_solutions``).  Systems with one row space have
+    one set of solutions, and the walk meets few row spaces many times, so
+    each system is brought to a canonical form (``_relation_system``) and
+    each (allowed rows, form) pair is solved once per search and its pool
+    reused (``_pool``); the pool of the box is the entry of the empty
+    system.  The last column is the pool of its system filtered by the
+    determinant condition g.x = +-1 (``_solve_last``), and that solve too
+    is kept per search, by (rows, form, +-g), so the leaves that meet one
+    key share one tuple of solutions (``_unit_solutions``).
     Column signs are canonicalized during the walk and expanded at the
     leaves, which is lossless because every constraint in play is
     invariant under negating a column.  Partial column sets are
     pruned by the gcd of their maximal minors (a prefix of a unimodular
-    matrix has coprime maximal minors), each a Laplace expansion along the
-    new column over terms built when the walk first reaches that depth.
+    matrix has coprime maximal minors).  The C(n, k) minors of k columns
+    are a list indexed by the rank of their row set in ``combinations``
+    order, each a Laplace expansion along the new column over terms built
+    when the walk first reaches that depth (``_extend_minors``).
     The node budget is charged the size of the unconstrained pool per
     placed column on k rows, before any pool or term is built, and
     2 (2B+1)^(k-1) per last column on k rows, whatever the solve enumerates
@@ -983,13 +1032,16 @@ class _Search:
         self.iso_targets = {ci: cls for cls in dec.types for ci in cls}
         self.use_components = struct_prunes and len(self.comp_rows) > 1
 
+        # Per (allowed rows, placed column): its relation rows; per set of
+        # relation rows: the canonical form of its system, which keys the
+        # pools, so equivalent systems share one (see ``_relation_system``).
+        self._relations: dict[tuple, frozenset] = {}
+        self._systems: dict[frozenset, tuple] = {}
         # Per (allowed rows, relation system): the canonical candidates, and
         # for a last column those candidates negated and packed for g.x, with
         # the solutions per +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
-        # Per allowed rows: the slots of the non-edges in a relation row.
-        self._relation_slots: dict[tuple[int, ...], list[tuple]] = {}
         # Per number of rows k: the size of the unconstrained pool on k rows,
         # the nonzero primitive vectors of the box up to sign (Moebius
         # inversion over the gcd d of the entries), charged before any pool
@@ -999,23 +1051,27 @@ class _Search:
             for k in range(n + 1)
         ]
         # Per number k of placed columns: the Laplace expansion along the new
-        # column of each minor, per row mask the terms (row r, mask without
-        # r, sign); built when the walk first places k columns.
+        # column of each k x k minor, filed by the minor of the other k - 1
+        # rows: per rank of a (k-1)-set of rows, the terms (row r added,
+        # rank of the k rows, sign), ranks in ``combinations`` order; built
+        # when the walk first places k columns.
         self._laplace: dict[int, list] = {}
 
         # Static placement order: fewest allowed rows first, so the relation
         # constraints bite early (the unconstrained pool grows with the
         # number of rows alone); the last placed column is solved.
         self.order = sorted(range(n), key=lambda v: (len(self.filtration_rows[v]), v))
-        # For each depth, the depths of the neighbours placed before it.
+        # For each depth, the depths of the neighbours placed before it;
+        # none without non-edges, since those give no relation rows.
         self.neighbor_depths = [
-            [k for k in range(depth) if g.has_edge(self.order[k], v)]
+            [k for k in range(depth) if g.has_edge(self.order[k], v)] if self.nonedges else []
             for depth, v in enumerate(self.order)
         ]
 
-    def _pool(self, rows: tuple[int, ...], system: frozenset) -> list[tuple]:
+    def _pool(self, rows: tuple[int, ...], system) -> list[tuple]:
         """Canonical candidate columns on ``rows`` under the relation
-        ``system`` (see ``_relation_system``), solved once per search and
+        ``system`` (rows of coefficients on ``rows``; the walk passes the
+        canonical form of ``_relation_system``), solved once per search and
         reused whenever the same system comes back."""
         key = rows, system
         pool = self._pools.get(key)
@@ -1024,7 +1080,7 @@ class _Search:
             pool = self._pools[key] = _canonical(solved)
         return pool
 
-    def _unit_solutions(self, rows: tuple[int, ...], system: frozenset, g: list[int]) -> tuple:
+    def _unit_solutions(self, rows: tuple[int, ...], system, g: list[int]) -> tuple:
         """The sorted columns x on ``rows`` of the box that solve the
         relation ``system`` and g.x = +-1, solved once per search and shared
         by every last column that asks again.  The pool of the system
@@ -1109,34 +1165,35 @@ class _Search:
         if n == 0:
             return
         placed: list[tuple[int, ...]] = []
-        # minors[k][mask] = det of the placed columns on the rows in mask.
-        minor_stack: list[list[int]] = [[0] * (1 << n)]
-        minor_stack[0][0] = 1
+        # minor_stack[k][i] = det of the k placed columns on the i-th k-set
+        # of rows in ``combinations`` order.
+        minor_stack: list[list[int]] = [[1]]
         target: list[int | None] = [None] * len(self.comp_rows)
         used: set[int] = set()
         state = None if group is None else ()
         yield from self._place(0, placed, minor_stack, target, used, group, state)
 
-    def _extend_minors(self, minors_prev: list[int], col: tuple[int, ...], k: int):
-        """Minors of k placed columns from those of k-1, plus their gcd."""
+    def _extend_minors(self, nonzero_prev, col: tuple[int, ...], k: int):
+        """The C(n, k) minors of k placed columns, indexed by the rank of
+        their row set in ``combinations`` order, plus their gcd, from the
+        nonzero minors of the first k-1 as (rank, minor) pairs.  Expanded
+        along the new column, a minor is a sum over its rows r of col[r]
+        times a minor of the k-1 columns on the other rows, so only the
+        terms of a nonzero minor and a nonzero row of col are added."""
         laplace = self._laplace.get(k)
         if laplace is None:
-            laplace = self._laplace[k] = []
-            for rows in combinations(range(self.n), k):
-                mask = sum(1 << r for r in rows)
-                terms = [(r, mask ^ 1 << r, (-1) ** (i + k - 1)) for i, r in enumerate(rows)]
-                laplace.append((mask, terms))
-        table = [0] * (1 << self.n)
-        g = 0
-        for mask, terms in laplace:
-            acc = 0
-            for r, rest, sign in terms:
+            below = {rows: i for i, rows in enumerate(combinations(range(self.n), k - 1))}
+            laplace = self._laplace[k] = [[] for _ in below]
+            for dst, rows in enumerate(combinations(range(self.n), k)):
+                for i, r in enumerate(rows):
+                    laplace[below[rows[:i] + rows[i + 1 :]]].append((r, dst, (-1) ** (i + k - 1)))
+        table = [0] * comb(self.n, k)
+        for src, minor in nonzero_prev:
+            for r, dst, sign in laplace[src]:
                 c = col[r]
                 if c:
-                    acc += sign * c * minors_prev[rest]
-            table[mask] = acc
-            g = gcd(g, acc)
-        return table, g
+                    table[dst] += sign * c * minor
+        return table, gcd(*table)
 
     def _place(self, depth: int, placed, minor_stack, target, used, group, state):
         n = self.n
@@ -1153,8 +1210,9 @@ class _Search:
             else:
                 self.budget.spend(self._pool_sizes[len(rows)])
                 pool = self._pool(rows, self._relation_system(depth, rows, placed))
+                nonzero = [(i, m) for i, m in enumerate(minor_stack[-1]) if m]
                 for vec in pool:
-                    table, g = self._extend_minors(minor_stack[-1], vec, depth + 1)
+                    table, g = self._extend_minors(nonzero, vec, depth + 1)
                     if g != 1:
                         continue
                     below = state
@@ -1180,8 +1238,8 @@ class _Search:
         patterns are those the group state of the leaf's node keeps
         (``_state_patterns``)."""
         n = self.n
-        full = (1 << n) - 1
-        g = [minors_top[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in rows]
+        # The rows without r have rank n - 1 - r among the (n-1)-sets.
+        g = [minors_top[n - 1 - r] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
@@ -1190,37 +1248,50 @@ class _Search:
             return None
         return v, tuple(placed), solutions, _state_patterns(state, n, self.order, placed)
 
-    def _relation_system(self, depth: int, rows, placed) -> frozenset:
+    def _relation_system(self, depth: int, rows, placed) -> tuple:
         """The edge-relation constraints on the column placed at ``depth``,
         the last one included: u[a] x[b] - u[b] x[a] = 0 for each placed
-        neighbour column u and each non-edge (a, b), as the set of distinct
-        nonzero rows (tuples) of coefficients on ``rows``.  The slots
-        (ja, jb) of the non-edges that meet ``rows`` are found once per
-        allowed rows; the others give only zero rows."""
+        neighbour column u and each non-edge (a, b), on the coefficients of
+        ``rows``, in canonical form (``_canonical_system``).  Systems with
+        one row space have one form, so they share one pool, one packing
+        and one memo of last-column solves.  The rows of each neighbour
+        column come from ``_relation_rows``, and each distinct union of
+        them is mapped to its form once per search."""
         depths = self.neighbor_depths[depth]
         if not depths:
-            return frozenset()
-        pairs = self._relation_slots.get(rows)
-        if pairs is None:
+            return ()
+        distinct = frozenset().union(*[self._relation_rows(rows, placed[k]) for k in depths])
+        system = self._systems.get(distinct)
+        if system is None:
+            system = self._systems[distinct] = _canonical_system(distinct)
+        return system
+
+    def _relation_rows(self, rows, u: tuple[int, ...]) -> frozenset:
+        """The nonzero rows u[a] x[b] - u[b] x[a] of placed column u, one
+        per non-edge (a, b) that meets ``rows``, as coefficients on
+        ``rows``, each primitive with its first nonzero entry positive
+        (which keeps its solutions), built once per search."""
+        key = rows, u
+        hit = self._relations.get(key)
+        if hit is None:
             slot = {r: j for j, r in enumerate(rows)}
-            pairs = self._relation_slots[rows] = [
-                (slot.get(a), slot.get(b), a, b) for a, b in self.nonedges if a in slot or b in slot
-            ]
-        width = len(rows)
-        distinct = set()
-        for k in depths:
-            u = placed[k]
-            for ja, jb, a, b in pairs:
+            found = set()
+            for a, b in self.nonedges:
+                ja, jb = slot.get(a), slot.get(b)
                 x = 0 if jb is None else u[a]
                 y = 0 if ja is None else u[b]
                 if x or y:
-                    row = [0] * width
+                    row = [0] * len(rows)
                     if jb is not None:
                         row[jb] = x
                     if ja is not None:
                         row[ja] = -y
-                    distinct.add(tuple(row))
-        return frozenset(distinct)
+                    d = gcd(x, y)
+                    if next(c for c in row if c) < 0:
+                        d = -d
+                    found.add(tuple([c // d for c in row]))
+            hit = self._relations[key] = frozenset(found)
+        return hit
 
 
 def _automorphism_columns(

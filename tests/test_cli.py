@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +218,25 @@ class TestSearch:
     def test_budget_guard_exit_5(self, write, capsys):
         g = write("g.json", {"n": 3, "edges": []})
         assert main(["search", g, "--bound", "2", "--budget", "10"]) == 5
+
+    def test_budget_guard_before_memory_on_40_vertices(self, write):
+        """The walk allocates nothing of size 2^n before its first budget
+        charge: on a random 40-vertex graph, with the address space capped
+        at 3 GB, ``search --budget 10`` exits 5, not with a MemoryError."""
+        rng = random.Random(40)
+        edges = [[i, j] for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.5]
+        g = write("g.json", {"n": 40, "edges": edges})
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from nilgraph.cli import main\n"
+            f"sys.exit(main(['search', {g!r}, '--budget', '10']))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
 
     def test_bound_zero_exit_2(self, write, capsys):
         err = usage_error(capsys, "search", write("g.json", N22), "--bound", "0")

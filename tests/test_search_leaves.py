@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.exactlin import IntMatrix, det_flat
-from nilgraph.graphs import Graph, complete_graph, connected_components, empty_graph, path_graph
+from nilgraph.graphs import Graph, complete_graph, connected_components, cycle_graph, empty_graph, path_graph
 from nilgraph.morphism import endo_from_matrix, induced_commutator_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
@@ -177,6 +177,28 @@ def test_last_columns_share_one_solve_per_key(monkeypatch):
     assert all(x is xs[0] for xs in received.values() for x in xs)
     assert len(filtered) == len(received) == 1
     assert sum(map(len, received.values())) == 274
+
+
+def test_equivalent_systems_share_one_pool(monkeypatch):
+    """The report walk of C4 at bound 2 keys its pools by the canonical form
+    of each relation system, so the systems with one row space share one
+    pool: 81 box solves, 18 packed last-column pools and 32 distinct
+    last-column solves (756, 608 and 687 when every distinct set of
+    relation rows had its own)."""
+    g = cycle_graph(4)
+    box_solutions, solved = spectra._box_solutions, []
+
+    def counting(*args):
+        solved.append(args)
+        return box_solutions(*args)
+
+    monkeypatch.setattr(spectra, "_box_solutions", counting)
+    search = _search(g, 2)
+    for _ in search.leaves(_SignedGroup(g)):
+        pass
+    assert len(solved) == 81
+    assert len(search._packed) == 18
+    assert sum(len(packed[-1]) for packed in search._packed.values()) == 32
 
 
 # Every catalog class with more than one degree class at bound 1, and

@@ -1,8 +1,10 @@
 """The exact solve of the search's linear constraints: the column stream of
 the bounded search against a recorded golden, the homogeneous solve and the
 packed last-column filter and its memo against brute-force scans of the
-box, the reused column systems against fresh solves, the budget of whole
-walks and of one pool, and ``rank`` through the shared elimination.
+box, the canonical form of equivalent column systems, the reused column
+systems against fresh solves, the ranked minors against determinants, the
+budget of whole walks and of one pool, and ``rank`` through the shared
+elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
@@ -10,6 +12,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
+from math import gcd
 from operator import mul
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from nilgraph.spectra import (
     _box_solutions,
     _Budget,
     _canonical,
+    _canonical_system,
     _Search,
     _SignedGroup,
 )
@@ -155,11 +159,11 @@ def test_search_columns_match_the_minor_filter(data):
         got = search._pool(rows, system)
         assert got == [x for x in search._pool(rows, frozenset()) if related(x)]
         return
-    full = (1 << n) - 1
-    minors = [0] * (1 << n)
-    for r in range(n):
-        minors[full ^ (1 << r)] = data.draw(st.integers(-3, 3))
-    g = [minors[full ^ (1 << r)] * (-1) ** (r + n - 1) for r in range(n)]
+    # The (n-1)-row minors by rank in ``combinations`` order: the rows
+    # without r come at rank n - 1 - r.
+    minors = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+    rank_of = {rows: i for i, rows in enumerate(combinations(range(n), n - 1))}
+    g = [minors[rank_of[tuple(i for i in range(n) if i != r)]] * (-1) ** (r + n - 1) for r in range(n)]
     want = [x for x in box if related(x) and sum(map(mul, g, x)) in (1, -1)]
     leaf = search._solve_last(v, rows, placed, minors)
     assert (list(leaf[2]) if leaf else []) == want
@@ -192,6 +196,78 @@ def test_solved_systems_are_reused_per_rows(data):
         other = data.draw(st.sampled_from(others))
         assert search._pool(other, system) == _fresh_pool(system, other, n, bound)
         assert search._pool(rows, system) == want
+
+
+@given(st.data())
+def test_equivalent_systems_have_one_canonical_form(data):
+    """A relation system and copies of it with rows scaled, added to one
+    another, duplicated or shuffled (the same row space) all get one
+    canonical form, which spans that row space; the pool of the form is
+    the scan of the box for the raw system."""
+    n, bound, rows, relations = data.draw(_systems())
+    key = _canonical_system(relations)
+    assert rank(IntMatrix.from_rows([*relations, *key])) == len(key) == rank(IntMatrix.from_rows(relations))
+    for _ in range(3):
+        copy = [row[:] for row in relations]
+        for _ in range(data.draw(st.integers(1, 4))):
+            i, j = data.draw(st.lists(st.integers(0, len(copy) - 1), min_size=2, max_size=2))
+            move = data.draw(st.sampled_from(("scale", "add", "duplicate")))
+            if move == "scale":
+                c = data.draw(st.sampled_from((-3, -2, -1, 2, 3)))
+                copy[i] = [c * x for x in copy[i]]
+            elif move == "add" and i != j:
+                copy[i] = [x + y for x, y in zip(copy[i], copy[j])]
+            elif move == "duplicate":
+                copy.append(copy[i][:])
+        copy = data.draw(st.permutations(copy))
+        assert _canonical_system(copy) == key, copy
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    scan = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in relations)]
+    assert search._pool(rows, key) == _canonical(scan)
+
+
+def _laplace_minors(placed, n):
+    """The minors the walk kept before they were ranked: per row mask, the
+    determinant of the placed columns on the rows of the mask."""
+    table = [0] * (1 << n)
+    table[0] = 1
+    for k, col in enumerate(placed, 1):
+        prev, table = table, [0] * (1 << n)
+        for rows in combinations(range(n), k):
+            mask = sum(1 << r for r in rows)
+            table[mask] = sum(
+                (-1) ** (i + k - 1) * col[r] * prev[mask ^ 1 << r] for i, r in enumerate(rows)
+            )
+    return table
+
+
+@given(st.data())
+def test_ranked_minors_match_every_determinant(data):
+    """The minors of k placed columns, indexed by the rank of their row set
+    in ``combinations`` order and built from the nonzero minors of k - 1,
+    are the determinants of every k x k minor, with their gcd; half the
+    time every entry is at +-bound.  The cofactors the last column reads
+    at rank n - 1 - r are those the mask-indexed tables held at the rows
+    without r."""
+    n = data.draw(st.integers(1, 6))
+    bound = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        entry = st.sampled_from((-bound, bound))
+    else:
+        entry = st.integers(-bound, bound)
+    placed = [tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)]
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    table = [1]
+    for k in range(1, n + 1):
+        nonzero = [(i, m) for i, m in enumerate(table) if m]
+        table, g = search._extend_minors(nonzero, placed[k - 1], k)
+        want = [det_flat([placed[c][r] for r in rows for c in range(k)], k) for rows in combinations(range(n), k)]
+        assert table == want
+        assert g == gcd(*want)
+        if k == n - 1:
+            old = _laplace_minors(placed[:k], n)
+            full = (1 << n) - 1
+            assert [table[n - 1 - r] for r in range(n)] == [old[full ^ 1 << r] for r in range(n)]
 
 
 @given(st.data())
