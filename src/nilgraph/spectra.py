@@ -988,7 +988,20 @@ class _Search:
     The node budget is charged the size of the unconstrained pool per
     placed column on k rows, before any pool or term is built, and
     2 (2B+1)^(k-1) per last column on k rows, whatever the solve enumerates
-    and whether it was solved before.  ``_make_leaf_values`` evaluates leaves.
+    and whether it was solved before.  The minors are charged too: C(n, k)
+    per candidate for k placed columns, and C(n, k) k before the expansion
+    terms for k columns are built.  ``_make_leaf_values`` evaluates leaves.
+
+    Centralizer dimension (a structural prune, with the degree filtration
+    and the components): the relation space L(c) = {x : c[a] x[b] =
+    c[b] x[a] for every non-edge (a, b)} of column v of a matrix M of the
+    search set has dimension deg(v) + 1, that of L(e_v), the span of v and
+    its neighbours (the centralizer of v, abelianized).  Proof: L(M c) =
+    M L(c), since Lambda^2 M is unimodular and maps the edge lattice into
+    itself, hence onto itself.  The dimension depends only on the support
+    of c (``_relation_dim``), so the pool of each placed column keeps only
+    the candidates of that dimension (``_pool``).  This cuts only subtrees
+    without leaves; the stream is unchanged.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
     Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
@@ -1037,9 +1050,10 @@ class _Search:
         # pools, so equivalent systems share one (see ``_relation_system``).
         self._relations: dict[tuple, frozenset] = {}
         self._systems: dict[frozenset, tuple] = {}
-        # Per (allowed rows, relation system): the canonical candidates, and
-        # for a last column those candidates negated and packed for g.x, with
-        # the solutions per +-g (see ``_unit_solutions``).
+        # Per (allowed rows, relation system, relation dimension or None): the
+        # canonical candidates (of that dimension), and for a last column
+        # those candidates negated and packed for g.x, with the solutions per
+        # +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
         # Per number of rows k: the size of the unconstrained pool on k rows,
@@ -1056,6 +1070,15 @@ class _Search:
         # rank of the k rows, sign), ranks in ``combinations`` order; built
         # when the walk first places k columns.
         self._laplace: dict[int, list] = {}
+        # Per vertex v: the dimension deg(v) + 1 of the relation space of
+        # every column of v in the search set (see ``_relation_dim``), or
+        # None without the structural prunes; per support: that dimension.
+        self.relation_dims = [d + 1 if struct_prunes else None for d in degs]
+        self._adjacent = [0] * n
+        for a, b in g.edges:
+            self._adjacent[a] |= 1 << b
+            self._adjacent[b] |= 1 << a
+        self._dims: dict[int, int] = {}
 
         # Static placement order: fewest allowed rows first, so the relation
         # constraints bite early (the unconstrained pool grows with the
@@ -1068,17 +1091,53 @@ class _Search:
             for depth, v in enumerate(self.order)
         ]
 
-    def _pool(self, rows: tuple[int, ...], system) -> list[tuple]:
+    def _pool(self, rows: tuple[int, ...], system, dim: int | None = None) -> list[tuple]:
         """Canonical candidate columns on ``rows`` under the relation
         ``system`` (rows of coefficients on ``rows``; the walk passes the
         canonical form of ``_relation_system``), solved once per search and
-        reused whenever the same system comes back."""
-        key = rows, system
+        reused whenever the same system comes back.  With ``dim``, only the
+        candidates whose relation space has dimension ``dim``
+        (``_relation_dim``), filtered once per (rows, system, dim)."""
+        key = rows, system, dim
         pool = self._pools.get(key)
         if pool is None:
-            solved = _box_solutions([list(row) for row in system], rows, self.n, self.bound)
-            pool = self._pools[key] = _canonical(solved)
+            if dim is None:
+                pool = _canonical(_box_solutions([list(row) for row in system], rows, self.n, self.bound))
+            else:
+                pool = [x for x in self._pool(rows, system) if self._relation_dim(x) == dim]
+            self._pools[key] = pool
         return pool
+
+    def _relation_dim(self, c: tuple[int, ...]) -> int:
+        """The dimension of the relation space L(c) = {x : c[a] x[b] =
+        c[b] x[a] for every non-edge (a, b)} of a nonzero column c, memoized
+        per support S of c.  A non-edge from a row b off S to a row a of S
+        forces x[b] = 0, and a non-edge inside S ties x[a] / c[a] to
+        x[b] / c[b]; so the dimension is the number of rows off S adjacent
+        to every row of S, plus the number of components of the complement
+        graph on S."""
+        support = 0
+        for r, x in enumerate(c):
+            if x:
+                support |= 1 << r
+        dim = self._dims.get(support)
+        if dim is None:
+            adjacent = self._adjacent
+            dim = sum(1 for b in range(self.n) if not support >> b & 1 and adjacent[b] & support == support)
+            left = support
+            while left:
+                # Grow the component of the lowest row left through non-edges.
+                component = frontier = left & -left
+                while frontier:
+                    a = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    new = support & ~adjacent[a] & ~component
+                    component |= new
+                    frontier |= new
+                left &= ~component
+                dim += 1
+            self._dims[support] = dim
+        return dim
 
     def _unit_solutions(self, rows: tuple[int, ...], system, g: list[int]) -> tuple:
         """The sorted columns x on ``rows`` of the box that solve the
@@ -1179,9 +1238,12 @@ class _Search:
         nonzero minors of the first k-1 as (rank, minor) pairs.  Expanded
         along the new column, a minor is a sum over its rows r of col[r]
         times a minor of the k-1 columns on the other rows, so only the
-        terms of a nonzero minor and a nonzero row of col are added."""
+        terms of a nonzero minor and a nonzero row of col are added.  The
+        C(n, k) k terms are built at the first call for k, after the
+        budget is charged for them."""
         laplace = self._laplace.get(k)
         if laplace is None:
+            self.budget.spend(comb(self.n, k) * k)
             below = {rows: i for i, rows in enumerate(combinations(range(self.n), k - 1))}
             laplace = self._laplace[k] = [[] for _ in below]
             for dst, rows in enumerate(combinations(range(self.n), k)):
@@ -1209,7 +1271,9 @@ class _Search:
                     yield leaf
             else:
                 self.budget.spend(self._pool_sizes[len(rows)])
-                pool = self._pool(rows, self._relation_system(depth, rows, placed))
+                system = self._relation_system(depth, rows, placed)
+                pool = self._pool(rows, system, self.relation_dims[v])
+                self.budget.spend(len(pool) * comb(n, depth + 1))
                 nonzero = [(i, m) for i, m in enumerate(minor_stack[-1]) if m]
                 for vec in pool:
                     table, g = self._extend_minors(nonzero, vec, depth + 1)
@@ -1485,6 +1549,14 @@ def compute_spectrum_report(
     Every observed value carries the lexicographically smallest witness
     matrix, re-verified against the closed form when one is known; a
     violation raises :class:`SpectrumConsistencyError`.
+
+    With ``struct_prunes`` the search also cuts every placed column of
+    vertex v whose relation space {x : c[a] x[b] = c[b] x[a] for every
+    non-edge (a, b)} does not have dimension deg(v) + 1, a structural
+    prune.  Every matrix M of the search set maps the relation space of e_v
+    (v and its neighbours) onto that of column v: Lambda^2 M is unimodular
+    and maps the edge lattice into itself, hence onto itself.  So the cut
+    subtrees hold no leaf (``_Search``).
 
     Conjugating by a signed automorphism P_pi D_s (pi in Aut(graph)) keeps
     R, and the smallest matrix with a given value is the smallest of its

@@ -219,10 +219,10 @@ class TestSearch:
         g = write("g.json", {"n": 3, "edges": []})
         assert main(["search", g, "--bound", "2", "--budget", "10"]) == 5
 
-    def test_budget_guard_before_memory_on_40_vertices(self, write):
-        """The walk allocates nothing of size 2^n before its first budget
-        charge: on a random 40-vertex graph, with the address space capped
-        at 3 GB, ``search --budget 10`` exits 5, not with a MemoryError."""
+    @staticmethod
+    def _search_40_vertices(write, budget: int):
+        """``search --budget`` on a random 40-vertex graph in a child process
+        whose address space is capped at 3 GB."""
         rng = random.Random(40)
         edges = [[i, j] for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.5]
         g = write("g.json", {"n": 40, "edges": edges})
@@ -230,11 +230,28 @@ class TestSearch:
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
             "from nilgraph.cli import main\n"
-            f"sys.exit(main(['search', {g!r}, '--budget', '10']))\n"
+            f"sys.exit(main(['search', {g!r}, '--budget', '{budget}']))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_budget_guard_before_memory_on_40_vertices(self, write):
+        """The walk allocates nothing of size 2^n before its first budget
+        charge: on a random 40-vertex graph, with the address space capped
+        at 3 GB, ``search --budget 10`` exits 5, not with a MemoryError."""
+        done = self._search_40_vertices(write, 10)
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
+    def test_budget_charges_the_minors_on_40_vertices(self, write):
+        """The minors of k placed columns are charged before they are built:
+        C(n, k) k for the table of expansion terms and C(n, k) per
+        candidate.  On the same graph, ``search --budget 1000000`` stays
+        within the budget of its columns while it builds ever larger
+        tables, until they exhaust the capped memory after about a minute;
+        with the minors charged it exits 5 at once."""
+        done = self._search_40_vertices(write, 1_000_000)
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
 

@@ -2,9 +2,10 @@
 the bounded search against a recorded golden, the homogeneous solve and the
 packed last-column filter and its memo against brute-force scans of the
 box, the canonical form of equivalent column systems, the reused column
-systems against fresh solves, the ranked minors against determinants, the
-budget of whole walks and of one pool, and ``rank`` through the shared
-elimination.
+systems against fresh solves, the relation dimension of a column against
+elimination and on every column of a few streams, the ranked minors
+against determinants, the budget of whole walks and of one pool, and
+``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
 
@@ -12,11 +13,11 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
-from math import gcd
-from operator import mul
+from math import comb, gcd
+from operator import le, mul
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilgraph.catalog import CATALOG
@@ -76,6 +77,69 @@ def test_automorphism_streams_match_the_recorded_streams():
     assert sorted(golden) == sorted(key for key, *_ in cases)
     for key, g, bound, prunes in cases:
         assert _stream_digest(g, bound, prunes) == golden[key], key
+
+
+def _relation_space_dim(c, nonedges, n) -> int:
+    """n minus the rank of the relation rows c[a] x[b] - c[b] x[a] of column
+    c over every non-edge (a, b): the dimension of its relation space, by
+    elimination."""
+    rows = []
+    for a, b in nonedges:
+        row = [0] * n
+        row[b] += c[a]
+        row[a] -= c[b]
+        rows.append(row)
+    return n - len(echelon(rows, n))
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_relation_dimension_depends_only_on_the_support(data):
+    """The dimension of a column's relation space from its support alone
+    (``_Search._relation_dim``: the rows off the support adjacent to all of
+    it, plus the components of the complement graph on it) is what
+    elimination gives, on random graphs with n <= 6 and random nonzero
+    columns, half of them with entries +-bound and 0 only.  Column v of the
+    identity has dimension deg(v) + 1, and the walk keeps it for v."""
+    n = data.draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = Graph.from_edges(n, edges)
+    bound = data.draw(st.integers(1, 3))
+    search = _Search(Presentation.of(graph), bound, True, _Budget(None))
+    if data.draw(st.booleans()):
+        entry = st.sampled_from((-bound, 0, bound))
+    else:
+        entry = st.integers(-bound, bound)
+    c = tuple(data.draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
+    assert search._relation_dim(c) == _relation_space_dim(c, search.nonedges, n)
+    degs = graph.degrees()
+    for v in range(n):
+        e = tuple(int(r == v) for r in range(n))
+        assert search._relation_dim(e) == degs[v] + 1
+        assert search._pool((v,), (), search.relation_dims[v]) == [e]
+
+
+def test_every_streamed_column_has_the_centralizer_dimension():
+    """Column v of every matrix of the search set has a relation space of
+    dimension deg(v) + 1, computed here by elimination: on the B=1 streams
+    of the catalog graphs up to three vertices, with and without the
+    structural prunes (the unpruned walk never tests the dimension), and
+    on C4 B=2, P4 B=3 and C5 B=1."""
+    cases = [(e.graph, 1, prunes) for e in CATALOG if e.graph.n <= 3 for prunes in (True, False)]
+    cases += [(cycle_graph(4), 2, True), (path_graph(4), 3, True), (cycle_graph(5), 1, True)]
+    for g, bound, prunes in cases:
+        p = Presentation.of(g)
+        degs = g.degrees()
+        dims = {}
+        count = 0
+        for cols in _automorphism_columns(p, bound, prunes):
+            for v, c in enumerate(cols):
+                if c not in dims:
+                    dims[c] = _relation_space_dim(c, p.nonedges, g.n)
+                assert dims[c] == degs[v] + 1, (g, bound, prunes, v, c)
+            count += 1
+        assert count, (g, bound, prunes)
 
 
 def _relations(draw, k, entry, count):
@@ -331,9 +395,33 @@ EXTRA_GRAPHS = {
     **{f"P{k}": path_graph(k) for k in (5, 6)},
 }
 
-# Budget a whole walk charges (with the symmetry group, as the report walks;
-# without it, as the matrix stream walks), for the searches of the benchmark.
+# Budget a whole walk charges for its columns, the minors aside (with the
+# symmetry group, as the report walks; without it, as the matrix stream
+# walks), for the searches of the benchmark.  The relation-dimension test
+# cuts the walks of the cycles and paths; the other nine are unchanged.
 WALK_BUDGETS = {
+    ("K3", 3): (369599, 1535270),
+    ("K3_plus_point", 1): (11865, 48956),
+    ("star", 1): (12899, 68669),
+    ("one_edge", 1): (10168, 19860),
+    ("diamond", 1): (10168, 19860),
+    ("P3_plus_point", 2): (69824, 164510),
+    ("two_edges", 3): (8466, 28384),
+    ("C4", 2): (50930, 143440),
+    ("C5", 1): (2746, 4766),
+    ("C6", 1): (12866, 21484),
+    ("C7", 1): (43724, 90364),
+    ("P4", 3): (34530, 69516),
+    ("P5", 1): (2128, 3262),
+    ("P6", 1): (6674, 10076),
+    ("N42", 1): (164566, 2340360),
+    ("N32", 2): (24929, 92150),
+}
+
+# The same totals when the walk pruned by the degree filtration alone,
+# before the relation-dimension test.  The test only cuts subtrees, so no
+# walk charges more than this.
+DEGREE_PRUNE_BUDGETS = {
     ("K3", 3): (369599, 1535270),
     ("K3_plus_point", 1): (11865, 48956),
     ("star", 1): (12899, 68669),
@@ -375,21 +463,33 @@ LEAF_TEST_BUDGETS = {
 }
 
 
-def test_walks_charge_the_recorded_budget():
+def test_walks_charge_the_recorded_budget(monkeypatch):
     """The node budget a walk spends, read back from a budget too large to
-    run out, is the recorded amount: reusing a solved column system must
-    not change what a walk is charged, and the report walk, which cuts the
-    nodes where no sign pattern is left, charges at most what it did when
-    the pattern test ran only at the leaves."""
+    run out, is the recorded amount for its columns plus the minors: C(n, k)
+    per candidate on k placed columns and C(n, k) k per table of expansion
+    terms.  Reusing a solved column system must not change what a walk is
+    charged, and the report walk, which cuts the nodes where no sign
+    pattern is left, charges at most what it did when the pattern test ran
+    only at the leaves."""
+    extend, minor_charges = _Search._extend_minors, []
+
+    def counting(self, nonzero_prev, col, k):
+        new_table = k not in self._laplace
+        minor_charges.append(comb(self.n, k) * (1 + k * new_table))
+        return extend(self, nonzero_prev, col, k)
+
+    monkeypatch.setattr(_Search, "_extend_minors", counting)
     for (key, bound), want in WALK_BUDGETS.items():
         g = CATALOG_BY_KEY[key].graph if key in CATALOG_BY_KEY else EXTRA_GRAPHS[key]
         got = []
         for group in (_SignedGroup(g), None):
+            minor_charges.clear()
             budget = _Budget(10**18)
             for _ in _Search(Presentation.of(g), bound, True, budget).leaves(group):
                 pass
-            got.append(10**18 - budget.left)
+            got.append(10**18 - budget.left - sum(minor_charges))
         assert tuple(got) == want, (key, bound)
+        assert all(map(le, got, DEGREE_PRUNE_BUDGETS[key, bound])), (key, bound)
         assert got[0] <= LEAF_TEST_BUDGETS[key, bound], (key, bound)
 
 
