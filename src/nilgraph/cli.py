@@ -26,7 +26,7 @@ from .morphism import (
     reidemeister_number,
 )
 from .nilgroup import Presentation, center_rank, gamma2_rank
-from .oracle import FiniteQuotient, QuotientSizeError, count_twisted_classes
+from .oracle import SIZE_LIMIT, FiniteQuotient, QuotientSizeError, count_twisted_classes
 from .spectra import (
     SearchBudgetExceeded,
     SpectrumConsistencyError,
@@ -50,12 +50,17 @@ def _fail(code: int, message: str) -> int:
 
 def _load_graph(path: str) -> Graph | int:
     """The graph in the file ``path``, or the exit code after the error is
-    reported."""
+    reported.  A graph with more than ``SIZE_LIMIT`` non-edges is refused
+    before its presentation lists them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return graph_from_text(fh.read())
+            g = graph_from_text(fh.read())
     except (OSError, UnicodeDecodeError, GraphFormatError, json.JSONDecodeError) as exc:
         return _fail(EXIT_PARSE, str(exc))
+    N = g.n * (g.n - 1) // 2 - len(g.edges)
+    if N > SIZE_LIMIT:
+        return _fail(EXIT_RESOURCE, f"graph has N = {N} non-edges, over the limit {SIZE_LIMIT}")
+    return g
 
 
 def _read_json(path: str):

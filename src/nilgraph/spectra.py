@@ -1015,6 +1015,11 @@ class _Search:
     (``_SignedGroup.extend``), and a node with none left is cut with its
     subtree, which is neither walked nor charged.  ``run`` streams every
     matrix.
+
+    The walk (``_place``) passes its state down the recursion as values:
+    each child gets the placed columns as a tuple, the minors table of
+    its columns and the component assignment as a tuple, so no node
+    changes what its parent or a sibling holds.
     """
 
     def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
@@ -1146,7 +1151,7 @@ class _Search:
         (``_pool``) is packed once (see ``_packed_solutions``), and the
         solutions of each +-g are kept with the packing: g.x = +-1 does not
         change under g -> -g, so g is keyed with its first nonzero entry
-        positive (g = 0 keys as it is and has no solutions)."""
+        positive."""
         key = rows, system
         packed = self._packed.get(key)
         if packed is None:
@@ -1173,23 +1178,21 @@ class _Search:
             solutions = solved[g] = _packed_solutions(packed, g)
         return solutions
 
-    def _column_options(self, v: int, target, used_targets):
-        """Yield (component_choice, rows_allowed) branches for column v."""
-        base_rows = self.filtration_rows[v]
+    def _column_options(self, v: int, targets):
+        """Yield (targets, rows) per branch for column v: the component
+        assignment below the branch (``targets[ci]`` is the component that
+        component ci maps onto, or None) and the rows column v may use."""
+        rows = self.filtration_rows[v]
         ci = self.comp_of[v] if self.use_components else None
         if ci is None:
-            yield None, base_rows
-            return
-        assigned = target[ci]
-        if assigned is not None:
-            rows = tuple(r for r in base_rows if r in self.comp_rows[assigned])
-            yield None, rows
-            return
-        for cj in self.iso_targets[ci]:
-            if cj in used_targets:
-                continue
-            rows = tuple(r for r in base_rows if r in self.comp_rows[cj])
-            yield (ci, cj), rows
+            yield targets, rows
+        elif targets[ci] is not None:
+            yield targets, tuple(r for r in rows if r in self.comp_rows[targets[ci]])
+        else:
+            for cj in self.iso_targets[ci]:
+                if cj not in targets:
+                    below = targets[:ci] + (cj,) + targets[ci + 1 :]
+                    yield below, tuple(r for r in rows if r in self.comp_rows[cj])
 
     def run(self):
         """Yield every completed column tuple: leaf by leaf, each solution
@@ -1219,18 +1222,12 @@ class _Search:
         placed column whose state has no pattern left is skipped with its
         subtree, unwalked and uncharged, so every leaf keeps a pattern, and
         patterns holds those of its node.  When v = 0 no comparison starts,
-        and every pattern is kept."""
-        n = self.n
-        if n == 0:
-            return
-        placed: list[tuple[int, ...]] = []
-        # minor_stack[k][i] = det of the k placed columns on the i-th k-set
-        # of rows in ``combinations`` order.
-        minor_stack: list[list[int]] = [[1]]
-        target: list[int | None] = [None] * len(self.comp_rows)
-        used: set[int] = set()
-        state = None if group is None else ()
-        yield from self._place(0, placed, minor_stack, target, used, group, state)
+        and every pattern is kept.  The walk starts at the root
+        (``_place``): no placed column (the empty minor is 1), no
+        component assigned, and the group state () or None."""
+        if self.n:
+            state = None if group is None else ()
+            yield from self._place(0, (), [1], (None,) * len(self.comp_rows), group, state)
 
     def _extend_minors(self, nonzero_prev, col: tuple[int, ...], k: int):
         """The C(n, k) minors of k placed columns, indexed by the rank of
@@ -1257,43 +1254,37 @@ class _Search:
                     table[dst] += sign * c * minor
         return table, gcd(*table)
 
-    def _place(self, depth: int, placed, minor_stack, target, used, group, state):
+    def _place(self, depth: int, placed, minors, targets, group, state):
+        """Yield the leaves below a node at ``depth``: ``placed`` holds the
+        columns of ``order[:depth]``, ``minors`` their C(n, depth) maximal
+        minors (see ``_extend_minors``), ``targets`` the component
+        assignment (``_column_options``) and ``state`` the group state of
+        the node (None without ``group``)."""
         n = self.n
         v = self.order[depth]
-        last = depth == n - 1
-        for choice, rows in self._column_options(v, target, used):
-            if choice is not None:
-                target[choice[0]] = choice[1]
-                used.add(choice[1])
-            if last:
-                leaf = self._solve_last(v, rows, placed, minor_stack[-1], state)
+        for below_targets, rows in self._column_options(v, targets):
+            if depth == n - 1:
+                leaf = self._solve_last(v, rows, placed, minors, state)
                 if leaf is not None:
                     yield leaf
-            else:
-                self.budget.spend(self._pool_sizes[len(rows)])
-                system = self._relation_system(depth, rows, placed)
-                pool = self._pool(rows, system, self.relation_dims[v])
-                self.budget.spend(len(pool) * comb(n, depth + 1))
-                nonzero = [(i, m) for i, m in enumerate(minor_stack[-1]) if m]
-                for vec in pool:
-                    table, g = self._extend_minors(nonzero, vec, depth + 1)
-                    if g != 1:
-                        continue
-                    below = state
-                    if group is not None:
-                        below = group.extend(state, v, vec)
-                        if not below:
-                            continue  # no leader below this node
-                    placed.append(vec)
-                    minor_stack.append(table)
-                    yield from self._place(depth + 1, placed, minor_stack, target, used, group, below)
-                    minor_stack.pop()
-                    placed.pop()
-            if choice is not None:
-                target[choice[0]] = None
-                used.discard(choice[1])
+                continue
+            self.budget.spend(self._pool_sizes[len(rows)])
+            system = self._relation_system(depth, rows, placed)
+            pool = self._pool(rows, system, self.relation_dims[v])
+            self.budget.spend(len(pool) * comb(n, depth + 1))
+            nonzero = [(i, m) for i, m in enumerate(minors) if m]
+            for vec in pool:
+                table, g = self._extend_minors(nonzero, vec, depth + 1)
+                if g != 1:
+                    continue
+                below = state
+                if group is not None:
+                    below = group.extend(state, v, vec)
+                    if not below:
+                        continue  # no leader below this node
+                yield from self._place(depth + 1, placed + (vec,), table, below_targets, group, below)
 
-    def _solve_last(self, v: int, rows, placed, minors_top, state=None) -> tuple | None:
+    def _solve_last(self, v: int, rows, placed, minors, state=None) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed
         box, together with its relation constraints; returns the leaf (see
         ``leaves``), or None without solutions.  The pool of the relation
@@ -1303,14 +1294,14 @@ class _Search:
         (``_state_patterns``)."""
         n = self.n
         # The rows without r have rank n - 1 - r among the (n-1)-sets.
-        g = [minors_top[n - 1 - r] * (-1) ** (r + n - 1) for r in rows]
+        g = [minors[n - 1 - r] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
         self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
         solutions = self._unit_solutions(rows, self._relation_system(n - 1, rows, placed), g)
         if not solutions:
             return None
-        return v, tuple(placed), solutions, _state_patterns(state, n, self.order, placed)
+        return v, placed, solutions, _state_patterns(state, n, self.order, placed)
 
     def _relation_system(self, depth: int, rows, placed) -> tuple:
         """The edge-relation constraints on the column placed at ``depth``,

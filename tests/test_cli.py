@@ -4,10 +4,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import nilgraph.cli as cli
+import nilgraph.spectra as spectra
+from nilgraph.catalog import CATALOG
 from nilgraph.cli import main
+from nilgraph.graphs import simplicial_join
 
 C5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
 N22 = {"n": 2, "edges": []}
@@ -46,6 +51,20 @@ def parse_error(capsys, *argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def capped_main(argv, gigabytes: int):
+    """``main(argv)`` in a child process whose address space is capped."""
+    cap = gigabytes << 30
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from nilgraph.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
 
 
 def usage_error(capsys, *argv):
@@ -104,6 +123,40 @@ class TestAnalyze:
 
     def test_graph_not_utf8_exit_2(self, tmp_path, capsys):
         parse_error(capsys, "analyze", not_utf8(tmp_path))
+
+    def test_composite_spectrum(self, write, capsys):
+        """The join of K2 plus a point with one edge plus two points keeps
+        the product of the two factor spectra."""
+        by_key = {e.key: e.graph for e in CATALOG}
+        g = simplicial_join(by_key["K2_plus_point"], by_key["one_edge"])
+        code, out = run(capsys, "analyze", write("g.json", g.to_json()), "--output", "json")
+        assert code == 0
+        assert json.loads(out)["spectrum"] == (
+            "(2N0^2 ∪ 2|N^2-4| ∪ {inf}) · ({2|nm(n+m)^2|, 2|nm(n^2-m^2-4m)| : n,m in Z} ∪ {inf})"
+        )
+
+
+class TestGraphSizeGuard:
+    """A graph whose presentation would list more than 10^6 non-edges (the
+    size limit of ``oracle``) is refused with exit 5 before it is listed."""
+
+    def test_20000_isolated_vertices_exit_5(self, tmp_path):
+        """N = 199,990,000 under a 2 GB address-space cap, for ``analyze``
+        and for ``search --budget 10``, each within a few seconds."""
+        path = tmp_path / "g.txt"
+        path.write_text("20000\n")
+        for argv in (["analyze", str(path)], ["search", str(path), "--budget", "10"]):
+            done = capped_main(argv, 2)
+            assert done.returncode == 5, done.stderr
+            assert done.stderr == "error: graph has N = 199990000 non-edges, over the limit 1000000\n"
+
+    def test_300_isolated_vertices_analyze(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("300\n")
+        code, out = run(capsys, "analyze", str(path), "--output", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["N"] == 44850 and data["spectrum"] == "N0 ∪ {inf}"
 
 
 class LoadErrors:
@@ -215,6 +268,28 @@ class TestSearch:
         _, out2 = run(capsys, "search", g, "--bound", "1", "--output", "json")
         assert out1 == out2
 
+    def test_text_output(self, write, capsys):
+        code, out = run(capsys, "search", write("g.json", {"n": 3, "edges": [[0, 1]]}), "--bound", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "classification: closed form 2N0^2 ∪ 2|N^2-4| ∪ {inf}",
+            "bound: 1",
+            "observed: [2, 6, 8]",
+            "witness 2: [[-1, -1, -1], [-1, 0, -1], [0, 0, -1]]",
+            "witness 6: [[-1, 1, -1], [-1, 0, -1], [0, 0, -1]]",
+            "witness 8: [[0, 1, -1], [-1, 0, -1], [0, 0, -1]]",
+        ]
+        code, out = run(capsys, "search", write("g.json", FIG2), "--bound", "1")
+        assert code == 0
+        assert out.splitlines() == ["classification: R-infinity by rule MaxDegreeOnce", "bound: 1", "observed: []"]
+
+    def test_value_outside_closed_form_exit_1(self, write, capsys, monkeypatch):
+        """K2 realizes 1 at bound 1; with its spectrum claimed to be {2, inf}
+        the report's consistency check fails and names the value."""
+        monkeypatch.setattr(spectra, "spectrum_by_decomposition", lambda g: spectra.Z1)
+        assert main(["search", write("g.json", K2), "--bound", "1"]) == 1
+        assert capsys.readouterr().err == "error: search realized 1, outside {2, inf}\n"
+
     def test_budget_guard_exit_5(self, write, capsys):
         g = write("g.json", {"n": 3, "edges": []})
         assert main(["search", g, "--bound", "2", "--budget", "10"]) == 5
@@ -226,15 +301,7 @@ class TestSearch:
         rng = random.Random(40)
         edges = [[i, j] for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.5]
         g = write("g.json", {"n": 40, "edges": edges})
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
-            "from nilgraph.cli import main\n"
-            f"sys.exit(main(['search', {g!r}, '--budget', '{budget}']))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        return capped_main(["search", g, "--budget", str(budget)], 3)
 
     def test_budget_guard_before_memory_on_40_vertices(self, write):
         """The walk allocates nothing of size 2^n before its first budget
@@ -294,6 +361,43 @@ class TestVerifyTables:
         data = json.loads(out)
         assert data["ok"] is True and data["classes"] == 1
         assert data["rows"][0]["observed"] == [2]
+
+    @pytest.mark.parametrize(
+        "key, observed, problem",
+        [
+            ("K1", (2, 3), "values [3] outside {2, inf}"),
+            ("P4", (2,), "expected no finite values, found [2]"),
+            ("K1", (), "expected witnesses for [2]"),
+        ],
+    )
+    def test_failed_row(self, capsys, monkeypatch, key, observed, problem):
+        """Each problem a report can show fails its row, the summary and
+        the exit code; the report is patched to show it."""
+        report = SimpleNamespace(observed=observed)
+        monkeypatch.setattr(cli, "compute_spectrum_report", lambda g, bound: report)
+        code, out = run(capsys, "verify-tables", "--only", key, "--output", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        (row,) = data["rows"]
+        assert row["status"] == "FAIL" and row["observed"] == list(observed)
+        assert problem in row["problems"]
+        code, out = run(capsys, "verify-tables", "--only", key)
+        assert code == 1
+        assert out.startswith(f"FAIL {key}: observed {list(observed)}") and problem in out
+        assert out.endswith("FAIL: 1 graph classes checked\n")
+
+    def test_consistency_error_fails_the_row(self, capsys, monkeypatch):
+        def fail(g, bound):
+            raise spectra.SpectrumConsistencyError("degree filtration violated at entry (0, 1)")
+
+        monkeypatch.setattr(cli, "compute_spectrum_report", fail)
+        code, out = run(capsys, "verify-tables", "--only", "C4", "--output", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["rows"][0]["status"] == "FAIL" and data["rows"][0]["observed"] is None
+        assert data["rows"][0]["problems"] == ["degree filtration violated at entry (0, 1)"]
 
     def test_unknown_key(self, capsys):
         assert main(["verify-tables", "--only", "nope"]) == 2

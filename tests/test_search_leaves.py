@@ -361,6 +361,16 @@ class TestBlockStructureGuard:
         with pytest.raises(SpectrumConsistencyError, match="two different components"):
             self._check(g, ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
 
+    def test_isolated_vertex_beside_two_components(self):
+        """The column of an isolated vertex is not checked against the
+        components, so it may reach both; the swap of the two edges passes,
+        and a column split across them still raises."""
+        g = Graph.from_edges(5, [(0, 1), (2, 3)])
+        free = (1, 0, 1, 0, 1)
+        self._check(g, ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), free))
+        with pytest.raises(SpectrumConsistencyError, match="two different components"):
+            self._check(g, ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0), free))
+
     def test_components_merged(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(SpectrumConsistencyError, match="not injective"):

@@ -30,6 +30,7 @@ from nilgraph.spectra import (
     _Budget,
     _canonical,
     _canonical_system,
+    _packed_solutions,
     _Search,
     _SignedGroup,
 )
@@ -387,6 +388,23 @@ def test_last_column_solves_are_shared_by_g_and_minus_g(data):
             assert list(got) == [x for x in related if _dot(signed, rows, x) in (1, -1)]
             assert search._unit_solutions(rows, system, [-c for c in signed]) is got
         assert search._unit_solutions(rows, system, [0] * k) == ()
+
+
+def test_packed_hits_off_slot_are_skipped():
+    """A target byte string found off a slot boundary is no hit.  On N2 at
+    bound 127 the slots are two bytes wide, and with g = (-127, 127) the
+    pool [(127, -127), (127, -1)] packs to fe 01 80 40: g.x + 2^15 is
+    0x01fe, then 0x4080.  The string 01 80 of g.x = +1 straddles the two
+    slots at byte 1, yet neither candidate solves g.x = +-1."""
+    search = _Search(Presentation.of(Graph.from_edges(2, [])), 127, True, _Budget(None))
+    rows = (0, 1)
+    search._pools[rows, (), None] = [(127, -127), (127, -1)]
+    search._unit_solutions(rows, (), [1, 0])
+    packed = search._packed[rows, ()]
+    pool, _, size, offset, coords, _, _ = packed
+    g = (-127, 127)
+    assert sum(map(mul, g, coords), offset).to_bytes(size * len(pool), "little") == bytes.fromhex("fe018040")
+    assert _packed_solutions(packed, g) == ()
 
 
 CATALOG_BY_KEY = {e.key: e for e in CATALOG}

@@ -243,6 +243,23 @@ class TestSpectrumByDecomposition:
     def test_path3(self):
         assert spectrum_by_decomposition(path_graph(3)).simplify() == FOUR_N0
 
+    def test_composite_forms(self):
+        """Two joins whose spectra stay composite after ``simplify``: distinct
+        factor types multiply, two isomorphic factors give the union of
+        partial products."""
+        k2_plus_point = Graph.from_edges(3, [(0, 1)])
+        one_edge = Graph.from_edges(4, [(0, 1)])
+        product_form = spectrum_by_decomposition(simplicial_join(k2_plus_point, one_edge)).simplify()
+        assert product_form == ProductForm((TWO_SQUARES, ONE_EDGE_FAMILY))
+        assert product_form.render() == (
+            "(2N0^2 ∪ 2|N^2-4| ∪ {inf}) · ({2|nm(n+m)^2|, 2|nm(n^2-m^2-4m)| : n,m in Z} ∪ {inf})"
+        )
+        assert [v for v in range(1, 33) if product_form.contains(v)] == [8, 16, 24, 32]
+        partial = spectrum_by_decomposition(simplicial_join(one_edge, one_edge)).simplify()
+        assert partial == PartialProductsForm(ONE_EDGE_FAMILY, 2)
+        assert partial.render() == "∪_(i=1..2) ({2|nm(n+m)^2|, 2|nm(n^2-m^2-4m)| : n,m in Z} ∪ {inf})^i"
+        assert [v for v in range(1, 65) if partial.contains(v)] == [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 60, 64]
+
     def test_four_vertex_families(self):
         assert spectrum_by_decomposition(Graph.from_edges(4, [(0, 1)])) == ONE_EDGE_FAMILY
         assert spectrum_by_decomposition(Graph.from_edges(4, [(0, 1), (2, 3)])) == TWO_EDGE_FAMILY
