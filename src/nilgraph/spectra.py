@@ -462,19 +462,6 @@ def spectrum_by_decomposition(g: Graph) -> SpectrumForm | None:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        self.left = limit
-
-    def spend(self, amount: int) -> None:
-        if self.left is not None:
-            self.left -= amount
-            if self.left < 0:
-                raise SearchBudgetExceeded("search node budget exhausted")
-
-
 def _sign_patterns(n: int, others, placed):
     """Per sign pattern of the placed columns, in ``product`` order (a 1
     negates): the n columns with placed[i] at others[i], None elsewhere."""
@@ -554,7 +541,7 @@ def _make_leaf_values(search: _Search):
       So the key is det(t - M1) for t = 1..n, one digit each, from the
       same cofactors, whose t = 1 row also serves a miss.
     - More than one degree class: the matrix keeps the degree filtration
-      (``_observe`` checks each leaf with ``_check_block_structure`` before
+      (``_observe`` checks each leaf with ``_Search.check_structure`` before
       evaluating it), so M1 is block triangular over the degree classes,
       and the commutator action is block triangular over the pairs of
       classes, with its edge lattice spanned by coordinate vectors.  Both
@@ -864,17 +851,6 @@ class _SignedGroup:
         return _state_patterns(state, self.n, order, placed)
 
 
-def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
-    """The leader columns of vertex 0 in the box (``_SignedGroup.leads``):
-    at most each of their images under the signed automorphisms with
-    pi(0) = 0, hence c[i] <= 0 for every i >= 1 (the signs alone) and
-    c <= c o pi for every pi in Stab_Aut(0).  These are the columns the
-    search keeps, up to sign, for vertex 0."""
-    group = _SignedGroup(g)
-    columns = product(range(-bound, bound + 1), *[range(-bound, 1)] * (g.n - 1))
-    return {c for c in columns if group.leads(c)}
-
-
 def _canonical_system(system) -> tuple[tuple[int, ...], ...]:
     """The canonical form of a homogeneous integer ``system`` (rows of one
     length): its reduced row echelon form over Q, each row scaled to be
@@ -985,12 +961,18 @@ class _Search:
     are a list indexed by the rank of their row set in ``combinations``
     order, each a Laplace expansion along the new column over terms built
     when the walk first reaches that depth (``_extend_minors``).
-    The node budget is charged the size of the unconstrained pool per
-    placed column on k rows, before any pool or term is built, and
-    2 (2B+1)^(k-1) per last column on k rows, whatever the solve enumerates
-    and whether it was solved before.  The minors are charged too: C(n, k)
-    per candidate for k placed columns, and C(n, k) k before the expansion
-    terms for k columns are built.  ``_make_leaf_values`` evaluates leaves.
+    The node budget (None for none) is charged through ``_charge``: the
+    size of the unconstrained pool per placed column on k rows, before any
+    pool or term is built, and 2 (2B+1)^(k-1) per last column on k rows,
+    whatever the solve enumerates and whether it was solved before.  The
+    minors are charged too: C(n, k) per candidate for k placed columns, and
+    C(n, k) k before the expansion terms for k columns are built.
+    ``_make_leaf_values`` evaluates leaves, and ``check_structure`` checks
+    that they keep the degree filtration and the components.
+
+    With ``struct_prunes`` False the walk ignores the degree filtration,
+    the components and the centralizer dimension: the unpruned reference
+    that the tests compare the pruned stream with.
 
     Centralizer dimension (a structural prune, with the degree filtration
     and the components): the relation space L(c) = {x : c[a] x[b] =
@@ -1022,7 +1004,7 @@ class _Search:
     changes what its parent or a sibling holds.
     """
 
-    def __init__(self, p: Presentation, bound: int, struct_prunes: bool, budget: _Budget):
+    def __init__(self, p: Presentation, bound: int, struct_prunes: bool, node_budget: int | None):
         if bound < 1:
             raise ValueError("bound must be >= 1")
         g = p.graph
@@ -1030,7 +1012,8 @@ class _Search:
         self.n = g.n
         self.bound = bound
         self.nonedges = p.nonedges
-        self.budget = budget
+        # The budget units left, or None without a budget.
+        self.left = node_budget
         self.degs = degs = g.degrees()
         n = self.n
 
@@ -1095,6 +1078,39 @@ class _Search:
             [k for k in range(depth) if g.has_edge(self.order[k], v)] if self.nonedges else []
             for depth, v in enumerate(self.order)
         ]
+
+    def _charge(self, amount: int) -> None:
+        """Spend ``amount`` budget units; raise once the budget is overdrawn."""
+        if self.left is not None:
+            self.left -= amount
+            if self.left < 0:
+                raise SearchBudgetExceeded("search node budget exhausted")
+
+    def check_structure(self, cols) -> None:
+        """Check that the columns respect the degree filtration and, with
+        several components, that each component maps into one component,
+        injectively.  Only the supports of the columns are read."""
+        n, degs, comp_of = self.n, self.degs, self.comp_of
+        for c in range(n):
+            dc = degs[c]
+            col = cols[c]
+            for r in range(n):
+                if col[r] != 0 and degs[r] < dc:
+                    raise SpectrumConsistencyError(f"degree filtration violated at entry ({r}, {c})")
+        if len(self.comp_rows) > 1:
+            seen: dict[int, int] = {}
+            for c in range(n):
+                ci = comp_of[c]
+                if ci is None:
+                    continue
+                tgt = {comp_of[r] for r in range(n) if cols[c][r] != 0}
+                if len(tgt) != 1 or None in tgt:
+                    raise SpectrumConsistencyError(f"column {c} is not supported in a single component")
+                ti = tgt.pop()
+                if seen.setdefault(ci, ti) != ti:
+                    raise SpectrumConsistencyError(f"component {ci} maps to two different components")
+            if len(set(seen.values())) != len(seen):
+                raise SpectrumConsistencyError("component assignment is not injective")
 
     def _pool(self, rows: tuple[int, ...], system, dim: int | None = None) -> list[tuple]:
         """Canonical candidate columns on ``rows`` under the relation
@@ -1240,7 +1256,7 @@ class _Search:
         budget is charged for them."""
         laplace = self._laplace.get(k)
         if laplace is None:
-            self.budget.spend(comb(self.n, k) * k)
+            self._charge(comb(self.n, k) * k)
             below = {rows: i for i, rows in enumerate(combinations(range(self.n), k - 1))}
             laplace = self._laplace[k] = [[] for _ in below]
             for dst, rows in enumerate(combinations(range(self.n), k)):
@@ -1268,10 +1284,10 @@ class _Search:
                 if leaf is not None:
                     yield leaf
                 continue
-            self.budget.spend(self._pool_sizes[len(rows)])
+            self._charge(self._pool_sizes[len(rows)])
             system = self._relation_system(depth, rows, placed)
             pool = self._pool(rows, system, self.relation_dims[v])
-            self.budget.spend(len(pool) * comb(n, depth + 1))
+            self._charge(len(pool) * comb(n, depth + 1))
             nonzero = [(i, m) for i, m in enumerate(minors) if m]
             for vec in pool:
                 table, g = self._extend_minors(nonzero, vec, depth + 1)
@@ -1297,7 +1313,7 @@ class _Search:
         g = [minors[n - 1 - r] * (-1) ** (r + n - 1) for r in rows]
         if not any(g):
             return None
-        self.budget.spend(2 * (2 * self.bound + 1) ** (len(rows) - 1))
+        self._charge(2 * (2 * self.bound + 1) ** (len(rows) - 1))
         solutions = self._unit_solutions(rows, self._relation_system(n - 1, rows, placed), g)
         if not solutions:
             return None
@@ -1355,7 +1371,7 @@ def _automorphism_columns(
     """Stream of column tuples (original vertex order) of every
     relation-preserving matrix with entries in [-bound, bound] and
     determinant +1 or -1."""
-    return _Search(p, bound, struct_prunes, _Budget(node_budget)).run()
+    return _Search(p, bound, struct_prunes, node_budget).run()
 
 
 def _column_matrix(cols) -> IntMatrix:
@@ -1364,13 +1380,11 @@ def _column_matrix(cols) -> IntMatrix:
     return IntMatrix(n, n, tuple(c[i] for i in range(n) for c in cols))
 
 
-def enumerate_automorphisms(
-    p: Presentation, bound: int, *, struct_prunes: bool = True, node_budget: int | None = None
-):
+def enumerate_automorphisms(p: Presentation, bound: int, *, node_budget: int | None = None):
     """Yield every automorphism whose vertex matrix has entries in
     [-bound, bound], as endomorphisms with zero commutator parts in the
     generator images.  Deterministic order."""
-    for cols in _automorphism_columns(p, bound, struct_prunes, node_budget):
+    for cols in _automorphism_columns(p, bound, True, node_budget):
         yield endo_from_matrix(p, _column_matrix(cols))
 
 
@@ -1426,44 +1440,11 @@ def default_bound(g: Graph) -> int:
     return 1
 
 
-def _check_block_structure(p: Presentation, cols, degs, comp_of, n_comps) -> None:
-    """Check that the columns respect the degree filtration and, with
-    several components, that each component maps into one component,
-    injectively.  Only the supports of the columns are read."""
-    n = p.n
-    for c in range(n):
-        dc = degs[c]
-        col = cols[c]
-        for r in range(n):
-            if col[r] != 0 and degs[r] < dc:
-                raise SpectrumConsistencyError(
-                    f"degree filtration violated at entry ({r}, {c})"
-                )
-    if n_comps > 1:
-        seen: dict[int, int] = {}
-        for c in range(n):
-            ci = comp_of[c]
-            if ci is None:
-                continue
-            tgt = {comp_of[r] for r in range(n) if cols[c][r] != 0}
-            if len(tgt) != 1 or None in tgt:
-                raise SpectrumConsistencyError(
-                    f"column {c} is not supported in a single component"
-                )
-            ti = tgt.pop()
-            if seen.setdefault(ci, ti) != ti:
-                raise SpectrumConsistencyError(
-                    f"component {ci} maps to two different components"
-                )
-        if len(set(seen.values())) != len(seen):
-            raise SpectrumConsistencyError("component assignment is not injective")
-
-
-def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int | None) -> dict:
+def _observe(p: Presentation, bound: int, node_budget: int | None) -> dict:
     """Walk the bounded search of ``compute_spectrum_report`` and evaluate
     its leaves: each finite value observed, with the lexicographically
     smallest column tuple that realizes it.  The block structure is checked
-    once per leaf (``_check_block_structure``), and the evaluator is built
+    once per leaf (``_Search.check_structure``), and the evaluator is built
     at the first leaf, so a search that runs out of budget before it does
     not build one.  The search, its solved column systems, its memoized
     last-column solves and the evaluator's memo live only in this call, so
@@ -1478,12 +1459,12 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     support union and these first solutions are derived once per object,
     not once per leaf."""
     n = p.n
-    search = _Search(p, bound, struct_prunes, _Budget(node_budget))
+    search = _Search(p, bound, True, node_budget)
     if n == 0:
         # The trivial group: its one automorphism has one twisted class.
         return {1: ()}
-    degs, comp_of, n_comps = search.degs, search.comp_of, len(search.comp_rows)
-    check_structure = n_comps > 1 or len(set(degs)) > 1
+    degs = search.degs
+    structured = len(search.comp_rows) > 1 or len(set(degs)) > 1
     rows = [r for r in range(n) if degs[r] == degs[search.order[-1]]]
     restrict = itemgetter(*rows) if len(rows) < n else None
     # Witness ties are broken by the lexicographically smallest column tuple.
@@ -1497,7 +1478,7 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
     for v, _, solutions, patterns in search.leaves(_SignedGroup(p.graph)):
         if leaf_values is None:
             leaf_values = _make_leaf_values(search)
-        if check_structure:
+        if structured:
             hit = derived.get(id(solutions))
             if hit is None:
                 # Signs never change a support and no solution is zero, so
@@ -1512,7 +1493,7 @@ def _observe(p: Presentation, bound: int, struct_prunes: bool, node_budget: int 
             _, support, solutions = hit
             cols = patterns[0]
             cols[v] = support
-            _check_block_structure(p, cols, degs, comp_of, n_comps)
+            search.check_structure(cols)
         for cols in patterns:
             values = leaf_values(cols, solutions)
             # Within one sign pattern the smallest solution gives the
@@ -1532,7 +1513,6 @@ def compute_spectrum_report(
     g: Graph,
     bound: int | None = None,
     *,
-    struct_prunes: bool = True,
     node_budget: int | None = None,
 ) -> SpectrumReport:
     """Classify the graph's spectrum and search for realized finite values.
@@ -1541,13 +1521,13 @@ def compute_spectrum_report(
     matrix, re-verified against the closed form when one is known; a
     violation raises :class:`SpectrumConsistencyError`.
 
-    With ``struct_prunes`` the search also cuts every placed column of
-    vertex v whose relation space {x : c[a] x[b] = c[b] x[a] for every
-    non-edge (a, b)} does not have dimension deg(v) + 1, a structural
-    prune.  Every matrix M of the search set maps the relation space of e_v
-    (v and its neighbours) onto that of column v: Lambda^2 M is unimodular
-    and maps the edge lattice into itself, hence onto itself.  So the cut
-    subtrees hold no leaf (``_Search``).
+    The search cuts every placed column of vertex v whose relation space
+    {x : c[a] x[b] = c[b] x[a] for every non-edge (a, b)} does not have
+    dimension deg(v) + 1.  That prune loses nothing: every matrix M of the
+    search set maps the relation space of e_v (v and its neighbours) onto
+    that of column v, since Lambda^2 M is unimodular and maps the edge
+    lattice into itself, hence onto itself.  So the cut subtrees hold no
+    leaf (``_Search``).
 
     Conjugating by a signed automorphism P_pi D_s (pi in Aut(graph)) keeps
     R, and the smallest matrix with a given value is the smallest of its
@@ -1573,7 +1553,7 @@ def compute_spectrum_report(
         bound = default_bound(g)
     p = Presentation.of(g)
     n = p.n
-    observed = _observe(p, bound, struct_prunes, node_budget)
+    observed = _observe(p, bound, node_budget)
     rule = detect_r_infinity(g)
     if rule is not None:
         classification = Classification("r_infinity_rule", rule=rule)

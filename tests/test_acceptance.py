@@ -31,7 +31,7 @@ from nilgraph.spectra import (
     TWO_N0,
     TWO_ODD_UNION_8N0,
     _automorphism_columns,
-    _check_block_structure,
+    _Search,
     detect_r_infinity,
     enumerate_automorphisms,
     spectrum_by_decomposition,
@@ -288,20 +288,12 @@ def test_criterion_9_algebraic_property_suites(reports):
 
     # block structure: the pruned and unpruned enumerations agree (so nothing
     # pruned was a real automorphism and nothing kept violates the theorems)
-    from nilgraph.graphs import connected_components
-
     for key, bound in (("P3", 2), ("K2_plus_point", 2), ("two_edges", 1), ("C4", 1)):
-        entry = _catalog(key)
-        p = Presentation.of(entry.graph)
+        p = Presentation.of(_catalog(key).graph)
         pruned = set(_automorphism_columns(p, bound, True))
         unpruned = set(_automorphism_columns(p, bound, False))
         assert pruned == unpruned, key
-        degs = entry.graph.degrees()
-        dec = connected_components(entry.graph)
-        comp_of = [None] * entry.graph.n
-        for ci, comp in enumerate(dec.components):
-            for v in comp:
-                comp_of[v] = ci
+        check_structure = _Search(p, bound, False, None).check_structure
         for cols in unpruned:
-            _check_block_structure(p, cols, degs, comp_of, len(dec.components))
+            check_structure(cols)
     _stamp("9 (algebraic property suites)", t0, 30)

@@ -18,16 +18,14 @@ from hypothesis import strategies as st
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.exactlin import IntMatrix, det_flat
-from nilgraph.graphs import Graph, complete_graph, connected_components, cycle_graph, empty_graph, path_graph
+from nilgraph.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 from nilgraph.morphism import endo_from_matrix, induced_commutator_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     Z1,
     SearchBudgetExceeded,
     SpectrumConsistencyError,
-    _Budget,
     _automorphism_columns,
-    _check_block_structure,
     _column_matrix,
     _det_width,
     _make_cofactors,
@@ -54,7 +52,7 @@ DENSE_SEARCHES = (
 
 
 def _search(g: Graph, bound: int) -> _Search:
-    return _Search(Presentation.of(g), bound, True, _Budget(None))
+    return _Search(Presentation.of(g), bound, True, None)
 
 
 def _leaf_matrices(leaf_values, leaf):
@@ -339,12 +337,7 @@ def test_five_vertex_reports_match_the_recorded_reports(reports):
 class TestBlockStructureGuard:
     @staticmethod
     def _check(g: Graph, cols):
-        dec = connected_components(g)
-        comp_of = [None] * g.n
-        for ci, comp in enumerate(dec.components):
-            for v in comp:
-                comp_of[v] = ci
-        _check_block_structure(Presentation.of(g), cols, g.degrees(), comp_of, len(dec.components))
+        _search(g, 1).check_structure(cols)
 
     def test_degree_filtration(self):
         # column of the degree-2 middle vertex reaches the degree-1 row 0

@@ -27,7 +27,6 @@ from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     _automorphism_columns,
     _box_solutions,
-    _Budget,
     _canonical,
     _canonical_system,
     _packed_solutions,
@@ -107,7 +106,7 @@ def test_relation_dimension_depends_only_on_the_support(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = Graph.from_edges(n, edges)
     bound = data.draw(st.integers(1, 3))
-    search = _Search(Presentation.of(graph), bound, True, _Budget(None))
+    search = _Search(Presentation.of(graph), bound, True, None)
     if data.draw(st.booleans()):
         entry = st.sampled_from((-bound, 0, bound))
     else:
@@ -207,7 +206,7 @@ def test_search_columns_match_the_minor_filter(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     graph = Graph.from_edges(n, edges)
     bound = data.draw(st.integers(1, 2))
-    search = _Search(Presentation.of(graph), bound, data.draw(st.booleans()), _Budget(None))
+    search = _Search(Presentation.of(graph), bound, data.draw(st.booleans()), None)
     depth = data.draw(st.integers(1, n - 1))
     v = search.order[depth]
     rows = search.filtration_rows[v]
@@ -247,7 +246,7 @@ def test_solved_systems_are_reused_per_rows(data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     graph = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
     bound = data.draw(st.integers(1, 2))
-    search = _Search(Presentation.of(graph), bound, True, _Budget(None))
+    search = _Search(Presentation.of(graph), bound, True, None)
     depth = data.draw(st.integers(1, n - 1))
     rows = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     entry = st.integers(-bound, bound)
@@ -286,7 +285,7 @@ def test_equivalent_systems_have_one_canonical_form(data):
                 copy.append(copy[i][:])
         copy = data.draw(st.permutations(copy))
         assert _canonical_system(copy) == key, copy
-    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
     scan = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in relations)]
     assert search._pool(rows, key) == _canonical(scan)
 
@@ -321,7 +320,7 @@ def test_ranked_minors_match_every_determinant(data):
     else:
         entry = st.integers(-bound, bound)
     placed = [tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)]
-    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
     table = [1]
     for k in range(1, n + 1):
         nonzero = [(i, m) for i, m in enumerate(table) if m]
@@ -356,7 +355,7 @@ def test_packed_filter_matches_the_determinant_row(data):
     ]
     relations = _relations(data.draw, len(rows), entry, data.draw(st.integers(0, 2)))
     system = frozenset(tuple(row) for row in relations if any(row))
-    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
     want = [
         x
         for x in _box(n, bound, rows)
@@ -379,7 +378,7 @@ def test_last_column_solves_are_shared_by_g_and_minus_g(data):
     relations = _relations(data.draw, k, st.integers(-bound, bound), data.draw(st.integers(0, 2)))
     system = frozenset(tuple(row) for row in relations if any(row))
     g = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
-    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+    search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
     for rows in row_sets:
         related = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in system)]
         for signs in product((1, -1), repeat=k):
@@ -396,7 +395,7 @@ def test_packed_hits_off_slot_are_skipped():
     pool [(127, -127), (127, -1)] packs to fe 01 80 40: g.x + 2^15 is
     0x01fe, then 0x4080.  The string 01 80 of g.x = +1 straddles the two
     slots at byte 1, yet neither candidate solves g.x = +-1."""
-    search = _Search(Presentation.of(Graph.from_edges(2, [])), 127, True, _Budget(None))
+    search = _Search(Presentation.of(Graph.from_edges(2, [])), 127, True, None)
     rows = (0, 1)
     search._pools[rows, (), None] = [(127, -127), (127, -1)]
     search._unit_solutions(rows, (), [1, 0])
@@ -502,10 +501,10 @@ def test_walks_charge_the_recorded_budget(monkeypatch):
         got = []
         for group in (_SignedGroup(g), None):
             minor_charges.clear()
-            budget = _Budget(10**18)
-            for _ in _Search(Presentation.of(g), bound, True, budget).leaves(group):
+            search = _Search(Presentation.of(g), bound, True, 10**18)
+            for _ in search.leaves(group):
                 pass
-            got.append(10**18 - budget.left - sum(minor_charges))
+            got.append(10**18 - search.left - sum(minor_charges))
         assert tuple(got) == want, (key, bound)
         assert all(map(le, got, DEGREE_PRUNE_BUDGETS[key, bound])), (key, bound)
         assert got[0] <= LEAF_TEST_BUDGETS[key, bound], (key, bound)
@@ -517,7 +516,7 @@ def test_pool_size_formula_matches_the_pool():
     of allowed rows."""
     for n in range(1, 6):
         for bound in range(1, 5):
-            search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, _Budget(None))
+            search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
             for k in range(n + 1):
                 rows = tuple(range(n - k, n))
                 assert search._pool_sizes[k] == len(search._pool(rows, frozenset())), (n, bound, k)

@@ -23,9 +23,7 @@ from nilgraph.morphism import endo_from_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     _automorphism_columns,
-    _Budget,
     _column_matrix,
-    _leader_columns,
     _Search,
     _sign_patterns,
     _SignedGroup,
@@ -90,7 +88,7 @@ def _stream_index(key: str):
     a 10M-matrix stream indexes in about 40k leaves."""
     if key not in _STREAMS:
         g = _INDEXED[key]
-        search = _Search(Presentation.of(g), 1, True, _Budget(None))
+        search = _Search(Presentation.of(g), 1, True, None)
         leaves: dict = {}
         bits: dict = {}  # per solved column, its bit; few distinct columns occur
         for _, placed, solutions, _ in search.leaves():
@@ -153,6 +151,14 @@ def test_signed_conjugation_keeps_the_stream_and_r(data):
 # ---------------------------------------------------------------------------
 # The leader columns of vertex 0
 # ---------------------------------------------------------------------------
+
+
+def _leader_columns(g: Graph, bound: int) -> set[tuple[int, ...]]:
+    """The columns of the box that lead in position 0 (``_SignedGroup.leads``),
+    drawn from those with c[i] <= 0 for every i >= 1, since the signs alone
+    make any other column larger than an image."""
+    leads = _SignedGroup(g).leads
+    return set(filter(leads, product(range(-bound, bound + 1), *[range(-bound, 1)] * (g.n - 1))))
 
 
 @pytest.mark.parametrize("bound", (1, 2))
@@ -268,7 +274,7 @@ def test_kept_matrices_hold_every_orbit_leader(key, bound):
             orbit = {_conjugate(cols, pi, signs) for pi, signs in signed}
             seen |= orbit
             leaders.add(min(orbit))
-    search = _Search(p, bound, True, _Budget(None))
+    search = _Search(p, bound, True, None)
     group = _SignedGroup(g)
     kept = set()
     for v, placed, solutions, patterns in search.leaves(group):
@@ -290,7 +296,7 @@ def test_first_leaves_keep_every_orbit_leader(g):
     """The same on the first leaves of the four-vertex classes and C5 at
     bound 1: a dropped sign pattern holds no leader, a kept one is not
     ruled out by the placed columns."""
-    search = _Search(Presentation.of(g), 1, True, _Budget(None))
+    search = _Search(Presentation.of(g), 1, True, None)
     group = _SignedGroup(g)
     signed = _signed_automorphisms(g)
     for v, placed, solutions, _ in islice(search.leaves(), 60):
@@ -485,18 +491,17 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("g, bound", REFERENCE_CASES)
 def test_report_matches_the_whole_stream(g, bound):
-    """The report, with and without the structural prunes, has the observed
-    values and witnesses of a brute-force pass over the whole stream."""
+    """The report has the observed values and witnesses of a brute-force
+    pass over the whole stream."""
     observed, witnesses = _reference_report(g, bound)
-    for prunes in (True, False):
-        rep = compute_spectrum_report(g, bound, struct_prunes=prunes)
-        assert rep.observed == observed, prunes
-        assert rep.witnesses == witnesses, prunes
+    rep = compute_spectrum_report(g, bound)
+    assert rep.observed == observed
+    assert rep.witnesses == witnesses
 
 
 def test_isolated_zero_is_the_solved_vertex():
     """The no-pruning case above is what it claims: vertex 0 is solved with
     the structural prunes on, and placed first without them."""
     p = Presentation.of(ISOLATED_ZERO)
-    assert _Search(p, 2, True, _Budget(None)).order[-1] == 0
-    assert _Search(p, 2, False, _Budget(None)).order[0] == 0
+    assert _Search(p, 2, True, None).order[-1] == 0
+    assert _Search(p, 2, False, None).order[0] == 0
