@@ -287,19 +287,32 @@ def isomorphisms(g1: Graph, g2: Graph):
         for u in nbrs1[v]:
             placed[u] += 1
     cands = [[u for u in range(n) if sig2[u] == sig1[v]] for v in order]
+    if n == 0:
+        yield ()
+        return
+    # An explicit stack, not one Python frame per vertex: per depth k, the
+    # candidates for order[k] not tried yet and the images its placed
+    # neighbours need; ``used`` holds the images of the depths below k.
     pi = [0] * n
-
-    def extend(k: int, used: int):
-        if k == n:
-            yield tuple(pi)
-            return
-        want = sum(1 << pi[w] for w in back[k])
-        for u in cands[k]:
+    used = 0
+    stack = [(iter(cands[0]), 0)]
+    while stack:
+        k = len(stack) - 1
+        tries, want = stack[-1]
+        for u in tries:
             if not used >> u & 1 and masks2[u] & used == want:
-                pi[order[k]] = u
-                yield from extend(k + 1, used | 1 << u)
-
-    yield from extend(0, 0)
+                break
+        else:
+            stack.pop()
+            if k:
+                used ^= 1 << pi[order[k - 1]]
+            continue
+        pi[order[k]] = u
+        if k == n - 1:
+            yield tuple(pi)
+        else:
+            used |= 1 << u
+            stack.append((iter(cands[k + 1]), sum(1 << pi[w] for w in back[k + 1])))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

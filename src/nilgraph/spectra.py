@@ -963,7 +963,8 @@ class _Search:
     when the walk first reaches that depth (``_extend_minors``).
     The node budget (None for none) is charged through ``_charge``: the
     size of the unconstrained pool per placed column on k rows, before any
-    pool or term is built, and 2 (2B+1)^(k-1) per last column on k rows,
+    pool or term is built (computed only under a finite budget, see
+    ``_charge_pool``), and 2 (2B+1)^(k-1) per last column on k rows,
     whatever the solve enumerates and whether it was solved before.  The
     minors are charged too: C(n, k) per candidate for k placed columns, and
     C(n, k) k before the expansion terms for k columns are built.
@@ -1044,14 +1045,10 @@ class _Search:
         # +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
-        # Per number of rows k: the size of the unconstrained pool on k rows,
-        # the nonzero primitive vectors of the box up to sign (Moebius
-        # inversion over the gcd d of the entries), charged before any pool
-        # is built.
-        self._pool_sizes = [
-            sum(_mobius(d) * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1)) // 2
-            for k in range(n + 1)
-        ]
+        # Per number of rows k: the size of the unconstrained pool on k rows
+        # (``_pool_size``); and mu(d) for d = 1..bound, shared by every k.
+        self._pool_sizes: dict[int, int] = {}
+        self._mu: list[int] | None = None
         # Per number k of placed columns: the Laplace expansion along the new
         # column of each k x k minor, filed by the minor of the other k - 1
         # rows: per rank of a (k-1)-set of rows, the terms (row r added,
@@ -1085,6 +1082,35 @@ class _Search:
             self.left -= amount
             if self.left < 0:
                 raise SearchBudgetExceeded("search node budget exhausted")
+
+    def _pool_size(self, k: int) -> int:
+        """The size of the unconstrained pool on k rows: the nonzero
+        primitive vectors of the box up to sign, by Moebius inversion over
+        the gcd d of the entries, memoized per k."""
+        size = self._pool_sizes.get(k)
+        if size is None:
+            b = self.bound
+            if self._mu is None:
+                self._mu = [_mobius(d) for d in range(1, b + 1)]
+            size = sum(m * ((2 * (b // d) + 1) ** k - 1) for d, m in enumerate(self._mu, 1)) // 2
+            self._pool_sizes[k] = size
+        return size
+
+    def _charge_pool(self, k: int) -> None:
+        """Charge the size of the unconstrained pool on k rows, computed
+        only under a finite budget.  Before a size is first computed, its
+        lower bound ((2B+1)^k - (2B-1)^k) / 2 is compared with the units
+        left: it counts the vectors with an entry +-1, all primitive, up to
+        sign.  A larger bound is charged instead, and raises at the node
+        where the size would have raised."""
+        if self.left is None:
+            return
+        if k not in self._pool_sizes:
+            b = self.bound
+            low = ((2 * b + 1) ** k - (2 * b - 1) ** k) // 2
+            if low > self.left:
+                self._charge(low)
+        self._charge(self._pool_size(k))
 
     def check_structure(self, cols) -> None:
         """Check that the columns respect the degree filtration and, with
@@ -1284,7 +1310,7 @@ class _Search:
                 if leaf is not None:
                     yield leaf
                 continue
-            self._charge(self._pool_sizes[len(rows)])
+            self._charge_pool(len(rows))
             system = self._relation_system(depth, rows, placed)
             pool = self._pool(rows, system, self.relation_dims[v])
             self._charge(len(pool) * comb(n, depth + 1))

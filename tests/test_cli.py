@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
@@ -319,6 +320,33 @@ class TestSearch:
         tables, until they exhaust the capped memory after about a minute;
         with the minors charged it exits 5 at once."""
         done = self._search_40_vertices(write, 1_000_000)
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)), "1100\n"],
+        ids=["path-1000", "isolated-1100"],
+    )
+    def test_budget_guard_after_the_group_on_1000_vertices(self, tmp_path, text):
+        """The report finds the graph's automorphisms before the first budget
+        charge, by an isomorphism search that keeps no Python frame per
+        vertex: on a path of 1,000 vertices and on 1,100 isolated vertices
+        (both under the size limit), with the address space capped at 2 GB,
+        ``search --budget 10`` exits 5, not with a RecursionError."""
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        done = capped_main(["search", str(path), "--budget", "10"], 2)
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
+    def test_huge_bound_exit_5(self, write):
+        """The pool size the budget charges is computed only when charged,
+        and not at all when its lower bound already exceeds the units left:
+        K2 at ``--bound 10000000`` with ``--budget 10`` exits 5 at once."""
+        t0 = perf_counter()
+        done = capped_main(["search", write("g.json", K2), "--bound", "10000000", "--budget", "10"], 2)
+        assert perf_counter() - t0 < 2
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
 

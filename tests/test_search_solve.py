@@ -519,7 +519,7 @@ def test_pool_size_formula_matches_the_pool():
             search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
             for k in range(n + 1):
                 rows = tuple(range(n - k, n))
-                assert search._pool_sizes[k] == len(search._pool(rows, frozenset())), (n, bound, k)
+                assert search._pool_size(k) == len(search._pool(rows, frozenset())), (n, bound, k)
 
 
 def _rank_reference(rows, ncols):

@@ -21,6 +21,7 @@ from nilgraph.spectra import (
     TWO_ODD_UNION_8N0,
     TWO_SQUARES,
     Z1,
+    AtomForm,
     PartialProductsForm,
     ProductForm,
     SearchBudgetExceeded,
@@ -191,6 +192,10 @@ class TestFormAlgebra:
         assert Z1.render() == "{2, inf}"
         assert TWO_ODD_UNION_8N0.render() == "2(2N0-1) ∪ 8N0 ∪ {inf}"
 
+    def test_unknown_atom_raises(self):
+        with pytest.raises(ValueError, match="'NoSuchFamily'"):
+            AtomForm("NoSuchFamily")
+
 
 class TestDetectRInfinity:
     def test_unique_max_degree(self):
@@ -324,6 +329,14 @@ class TestEnumeration:
     def test_monotone_in_bound(self):
         for g in (empty_graph(2), path_graph(3), Graph.from_edges(3, [(0, 1)])):
             assert observed_set(g, 1) <= observed_set(g, 2)
+
+    def test_bound_zero_raises(self):
+        """The library rejects bound 0 itself; the CLI never passes it."""
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="^bound must be >= 1$"):
+            compute_spectrum_report(g, 0)
+        with pytest.raises(ValueError, match="^bound must be >= 1$"):
+            list(enumerate_automorphisms(Presentation.of(g), 0))
 
     def test_budget_guard(self):
         with pytest.raises(SearchBudgetExceeded):
