@@ -1536,10 +1536,7 @@ def _observe(p: Presentation, bound: int, node_budget: int | None) -> dict:
 
 
 def compute_spectrum_report(
-    g: Graph,
-    bound: int | None = None,
-    *,
-    node_budget: int | None = None,
+    g: Graph, bound: int | None = None, *, node_budget: int | None = None
 ) -> SpectrumReport:
     """Classify the graph's spectrum and search for realized finite values.
 
