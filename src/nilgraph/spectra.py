@@ -10,9 +10,10 @@ always true.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, count, islice, product
-from math import comb, factorial, gcd, isqrt
+from itertools import chain, combinations, count, islice, product
+from math import comb, factorial, gcd, isqrt, prod
 from operator import itemgetter, mul, neg
 
 from .exactlin import ExtNat, IntMatrix, det_flat, echelon
@@ -492,30 +493,93 @@ def _det_width(n: int, bound: int) -> int:
 
 def _make_cofactors(order):
     """Cofactors of the solved column of a search with the given placement
-    order, called as ``cofactors(cols, ts)``: cols holds the placed columns
-    of a matrix M (cols[v] is unread, v = order[-1]), and for each t in ts
-    the result holds the signed cofactors cof of column v of t - M, so that
-    the matrix whose column v is x has det(t - M) = t cof[v] - cof . x."""
+    order, called as ``cofactors(cols)``: cols holds the placed columns of a
+    matrix M (cols[v] is unread, v = order[-1]), and the result holds the
+    signed cofactors cof of column v of 1 - M, so that the matrix whose
+    column v is x has det(1 - M) = cof[v] - cof . x."""
     n, v = len(order), order[-1]
-    # Per row r: the sign of cofactor (r, v), the cells (column, row) of its
-    # minor, row-major, and the positions of the minor's diagonal cells.
-    minors = []
-    for r in range(n):
-        cells = [(c, rr) for rr in range(n) if rr != r for c in range(n) if c != v]
-        minors.append(((-1) ** (r + v), cells, [i for i, (c, rr) in enumerate(cells) if c == rr]))
+    # Per row r: the sign of cofactor (r, v) and the cells (column, row,
+    # on the diagonal) of its minor, row-major.
+    minors = [
+        ((-1) ** (r + v), [(c, rr, c == rr) for rr in range(n) if rr != r for c in range(n) if c != v])
+        for r in range(n)
+    ]
 
-    def cofactors(cols, ts):
-        out = [[0] * n for _ in ts]
-        for r, (sign, cells, diagonal) in enumerate(minors):
-            minor = [-cols[c][rr] for c, rr in cells]
-            for cof, t in zip(out, ts):
-                m = minor[:]
-                for i in diagonal:
-                    m[i] += t
-                cof[r] = sign * det_flat(m, n - 1)
-        return out
+    def cofactors(cols):
+        return [sign * det_flat([d - cols[c][rr] for c, rr, d in cells], n - 1) for sign, cells in minors]
 
     return cofactors
+
+
+def _charpoly_width(n: int, bound: int) -> int:
+    """Digit width that holds e_1..e_n (``_charpoly_kernel``) of any n x n
+    matrix with entries in [-bound, bound], offset by half a digit:
+    |e_k| <= C(n, k) k! bound^k < 2^(width - 2)."""
+    return max(comb(n, k) * factorial(k) * bound**k for k in range(n + 1)).bit_length() + 2
+
+
+def _charpoly_kernel(n: int, v: int, width: int):
+    """The key kernel of an edgeless search whose solved vertex is v,
+    called as ``kernel(cols)`` on the placed columns of a matrix M (cols[v]
+    is unread).  It returns (base, coef) such that the matrix whose column
+    v is x has the key base + coef . x: digit k - 1 of ``width`` bits holds
+    e_k + 2^(width - 1), where e_k is the sum of the principal k x k minors
+    of M, so that det(t - M) = sum_k (-1)^k e_k t^(n-k).
+
+    Each e_k is affine in x.  A principal minor on rows S without v is a
+    constant, and one with v is, expanded along column v, the sum over r
+    in S of +-x[r] times the minor of M on rows S - r and columns S - v.
+    Every such minor of placed columns is expanded along the last column
+    of its column set, and each sub-minor is computed once.  The expansion
+    is emitted as straight-line code over local variables and compiled by
+    ``exec``; its source, kept as ``kernel.source``, holds only integer
+    literals and names built from vertex numbers."""
+    lines = [f"    {''.join(f'm{r}_{c}, ' for r in range(n))}= cols[{c}]\n" for c in range(n) if c != v]
+    names: dict[tuple, str] = {}
+
+    def minor(rows, cols) -> str:
+        """The name of the minor of M on ``rows`` and ``cols``, emitting its
+        expansion (and those of its sub-minors) at the first call."""
+        if len(rows) < 2:
+            return f"m{rows[0]}_{cols[0]}" if rows else "1"
+        name = names.get((rows, cols))
+        if name is None:
+            c, m = cols[-1], len(rows)
+            terms = [
+                ((i + m) % 2 == 1, f"m{r}_{c} * {minor(rows[:i] + rows[i + 1 :], cols[:-1])}")
+                for i, r in enumerate(rows)
+            ]
+            name = names[rows, cols] = "d" + "_".join(map(str, rows + cols))
+            lines.append(f"    {name} = {_signed_sum(terms)}\n")
+        return name
+
+    # Per coefficient of x[r], r < n, and for the constant at r = n: the
+    # terms of e_k, as (positive, name), at index k - 1.
+    terms = [[[] for _ in range(n)] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for s in combinations(range(n), k):
+            if v not in s:
+                terms[n][k - 1].append((True, minor(s, s)))
+                continue
+            j = s.index(v)
+            for i, r in enumerate(s):
+                terms[r][k - 1].append(((i + j) % 2 == 0, minor(s[:i] + s[i + 1 :], s[:j] + s[j + 1 :])))
+    *coef, const = [
+        " + ".join(f"(({_signed_sum(t)}) << {width * i})" for i, t in enumerate(per_k) if t) or "0"
+        for per_k in terms
+    ]
+    offset = sum(1 << (width * k + width - 1) for k in range(n))
+    source = f"def kernel(cols):\n{''.join(lines)}    return {hex(offset)} + {const}, ({', '.join(coef)},)\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
+def _signed_sum(terms) -> str:
+    """The expression a - b + c ... of (positive, expression) terms."""
+    return " ".join(f"{'+' if positive else '-'} {e}" for positive, e in terms).lstrip("+ ")
 
 
 def _make_leaf_values(search: _Search):
@@ -531,15 +595,20 @@ def _make_leaf_values(search: _Search):
     cofactors of column v of 1 - M1 (``_make_cofactors``).  Of 1 - M2 only
     the columns of the non-edges at v move; the others are filled once.
 
-    A memo for the whole search sits on top.  It keys each matrix by an
-    integer that is affine in column v and that fixes R, and only the keys
-    it misses are evaluated directly.  The key depends on the graph:
+    A memo for the whole search sits on top.  It keys each matrix by a
+    value that is affine in column v and that fixes R, and only the
+    patterns with a key it misses are evaluated directly, on those keys'
+    solutions.  The key depends on the graph:
 
     - Edgeless: both determinant layers depend only on the characteristic
-      polynomial (the commutator action is the full second compound), and
-      a monic polynomial of degree n is fixed by its values at t = 1..n.
-      So the key is det(t - M1) for t = 1..n, one digit each, from the
-      same cofactors, whose t = 1 row also serves a miss.
+      polynomial (the commutator action is the full second compound),
+      which is fixed by its coefficients e_1..e_n, the sums of the
+      principal minors of M1.  The key is e_1..e_n, one digit each, and a
+      kernel generated once per search (``_charpoly_kernel``) gives it as
+      base + coef . x from the placed columns.  Each solutions object is
+      packed once, one integer per row with a fixed-width slot per
+      solution, so the keys of a pattern are the byte slices of one
+      big-integer product.
     - More than one degree class: the matrix keeps the degree filtration
       (``_observe`` checks each leaf with ``_Search.check_structure`` before
       evaluating it), so M1 is block triangular over the degree classes,
@@ -566,11 +635,9 @@ def _make_leaf_values(search: _Search):
         if v in (c, d)
     ]
 
-    def direct_values(cols, solutions, cof=None):
-        """The values of ``leaf_values`` without a memo; cof holds the
-        cofactors of column v of 1 - M1 when the caller has them."""
-        if cof is None:
-            (cof,) = cofactors(cols, (1,))
+    def direct_values(cols, solutions):
+        """The values of ``leaf_values`` without a memo."""
+        cof = cofactors(cols)
         if not any(cof):
             # det(1 - M1) vanishes whatever column v is.
             return [None] * len(solutions)
@@ -600,23 +667,32 @@ def _make_leaf_values(search: _Search):
         return values
 
     if p.graph.is_edgeless:
-        ts = range(1, n + 1)
-        # Entries of t - M1 lie in [-(n + B), n + B]; digit t - 1 holds
-        # det(t - M1) offset by half a digit.
-        width = _det_width(n, n + search.bound)
+        # Digit k - 1 of a key holds e_k of M1; the kernel is charged like
+        # the Laplace terms of the walk, before it is generated.
+        search._charge(sum(comb(n - 1, k) * comb(n, k) * k for k in range(1, n)))
+        width = _charpoly_width(n, search.bound)
+        kernel = _charpoly_kernel(n, v, width)
+        size, bound = (n * width + 7) // 8, search.bound
+        # Per solutions object: the object, which keeps its id from being
+        # reused, one integer per row r that holds x[r] of every solution x
+        # in size-byte slots, the integer with 1 in every slot and the slot
+        # starts.  Entries are packed offset by B, which is then taken off.
+        packs: dict[int, tuple] = {}
 
         def leaf_keys(cols, solutions):
-            cofs = cofactors(cols, ts)
-            base, coef = 0, [0] * n
-            for t, cof in zip(ts, cofs):
-                shift = width * (t - 1)
-                base += (t * cof[v] + (1 << (width - 1))) << shift
-                coef = [k - (c << shift) for k, c in zip(coef, cof)]
-            # The sorted solutions are closed under negation, so the j-th
-            # from the end is minus the j-th, and its key is 2 base - key.
-            keys = [base + sum(map(mul, x, coef)) for x in solutions[: len(solutions) // 2]]
-            keys += [2 * base - key for key in reversed(keys)]
-            return keys, cofs[0]
+            hit = packs.get(id(solutions))
+            if hit is None:
+                ones = int.from_bytes((1).to_bytes(size, "little") * len(solutions), "little")
+                rows = []
+                for r in range(n):
+                    digits = b"".join([(x[r] + bound).to_bytes(size, "little") for x in solutions])
+                    rows.append(int.from_bytes(digits, "little") - bound * ones)
+                hit = packs[id(solutions)] = solutions, rows, ones, range(0, size * len(solutions), size)
+            _, rows, ones, starts = hit
+            base, coef = kernel(cols)
+            # Slot j holds the key of solutions[j], which lies in [0, 2^(8 size)).
+            data = sum(map(mul, coef, rows), base * ones).to_bytes(size * len(solutions), "little")
+            return [data[i : i + size] for i in starts]
 
     elif len(set(search.degs)) > 1:
         # Entry (r, u) of a diagonal block, offset by B, is one digit of
@@ -630,19 +706,21 @@ def _make_leaf_values(search: _Search):
 
         def leaf_keys(cols, solutions):
             base = offset + sum(cols[u][r] * w for u, r, w in placed_cells)
-            return [base + sum(map(mul, x, coef)) for x in solutions], None
+            return [base + sum(map(mul, x, coef)) for x in solutions]
 
     else:
         return direct_values
 
-    memo: dict[int, int | None] = {}
+    memo: dict[int | bytes, int | None] = {}
 
     def leaf_values(cols, solutions):
-        keys, cof = leaf_keys(cols, solutions)
-        missing = {key: x for key, x in zip(keys, solutions) if key not in memo}
-        if missing:
-            memo.update(zip(missing, direct_values(cols, list(missing.values()), cof)))
-        return [memo[key] for key in keys]
+        keys = leaf_keys(cols, solutions)
+        try:
+            return list(map(memo.__getitem__, keys))
+        except KeyError:
+            missing = {key: x for key, x in zip(keys, solutions) if key not in memo}
+            memo.update(zip(missing, direct_values(cols, list(missing.values()))))
+            return list(map(memo.__getitem__, keys))
 
     return leaf_values
 
@@ -670,7 +748,22 @@ _GROUP_CAP = 5040
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The automorphisms pi of g (vertex i goes to pi[i]), sorted, or only the
-    identity when there are more than the cap.  Either way a group."""
+    identity when there are more than the cap.  Either way a group.
+
+    Twins, vertices with one open or one closed neighbourhood, permute
+    freely.  No vertex has an open and a closed twin at once (a closed twin
+    z of u is a neighbour of every open twin of u, so that twin is in the
+    closed neighbourhood of z, that of u), so |Aut| is at least the product
+    of |class|! over the twin classes, and the identity is returned at once
+    when that product is over the cap."""
+    closed = [{u} for u in range(g.n)]
+    for a, b in g.edges:
+        closed[a].add(b)
+        closed[b].add(a)
+    closed_twins = Counter(map(frozenset, closed))
+    open_twins = Counter(frozenset(s - {u}) for u, s in enumerate(closed))
+    if prod(map(factorial, chain(closed_twins.values(), open_twins.values()))) > _GROUP_CAP:
+        return [tuple(range(g.n))]
     group = sorted(islice(isomorphisms(g, g), _GROUP_CAP + 1))
     return group if len(group) <= _GROUP_CAP else [tuple(range(g.n))]
 
@@ -1018,10 +1111,10 @@ class _Search:
         self.degs = degs = g.degrees()
         n = self.n
 
-        self.filtration_rows = [
-            tuple(r for r in range(n) if degs[r] >= degs[v]) if struct_prunes else tuple(range(n))
-            for v in range(n)
-        ]
+        # Built per distinct degree, not per vertex: one pass over the rows
+        # for a graph whose vertices share one degree.
+        rows_of = {d: tuple(r for r in range(n) if degs[r] >= d or not struct_prunes) for d in set(degs)}
+        self.filtration_rows = [rows_of[d] for d in degs]
 
         # The report checks the components even where the search ignores them.
         dec = connected_components(g)
@@ -1071,10 +1164,14 @@ class _Search:
         self.order = sorted(range(n), key=lambda v: (len(self.filtration_rows[v]), v))
         # For each depth, the depths of the neighbours placed before it;
         # none without non-edges, since those give no relation rows.
-        self.neighbor_depths = [
-            [k for k in range(depth) if g.has_edge(self.order[k], v)] if self.nonedges else []
-            for depth, v in enumerate(self.order)
-        ]
+        depth_of = {v: depth for depth, v in enumerate(self.order)}
+        self.neighbor_depths = [[] for _ in range(n)]
+        if self.nonedges:
+            for a, b in g.edges:
+                da, db = depth_of[a], depth_of[b]
+                self.neighbor_depths[max(da, db)].append(min(da, db))
+            for depths in self.neighbor_depths:
+                depths.sort()
 
     def _charge(self, amount: int) -> None:
         """Spend ``amount`` budget units; raise once the budget is overdrawn."""
@@ -1574,9 +1671,7 @@ def compute_spectrum_report(
     """
     if bound is None:
         bound = default_bound(g)
-    p = Presentation.of(g)
-    n = p.n
-    observed = _observe(p, bound, node_budget)
+    observed = _observe(Presentation.of(g), bound, node_budget)
     rule = detect_r_infinity(g)
     if rule is not None:
         classification = Classification("r_infinity_rule", rule=rule)
@@ -1597,10 +1692,9 @@ def compute_spectrum_report(
         raise SpectrumConsistencyError(
             f"rule {classification.rule} fired but finite values {sorted(observed)} were realized"
         )
-    witnesses = {
-        v: tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        for v, cols in observed.items()
-    }
+    # Equal witness rows share one tuple: a caller may keep many reports.
+    rows: dict[tuple, tuple] = {}
+    witnesses = {v: tuple(rows.setdefault(row, row) for row in zip(*cols)) for v, cols in observed.items()}
     return SpectrumReport(
         graph=g,
         classification=classification,

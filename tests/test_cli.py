@@ -13,7 +13,8 @@ import nilgraph.cli as cli
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.cli import main
-from nilgraph.graphs import simplicial_join
+from nilgraph.graphs import empty_graph, simplicial_join
+from nilgraph.nilgroup import Presentation
 
 C5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
 N22 = {"n": 2, "edges": []}
@@ -324,21 +325,51 @@ class TestSearch:
         assert "budget" in done.stderr
 
     @pytest.mark.parametrize(
-        "text",
-        ["1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)), "1100\n"],
+        "text, seconds",
+        [("1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)), None), ("1100\n", 1)],
         ids=["path-1000", "isolated-1100"],
     )
-    def test_budget_guard_after_the_group_on_1000_vertices(self, tmp_path, text):
+    def test_budget_guard_after_the_group_on_1000_vertices(self, tmp_path, text, seconds):
         """The report finds the graph's automorphisms before the first budget
         charge, by an isomorphism search that keeps no Python frame per
         vertex: on a path of 1,000 vertices and on 1,100 isolated vertices
         (both under the size limit), with the address space capped at 2 GB,
-        ``search --budget 10`` exits 5, not with a RecursionError."""
+        ``search --budget 10`` exits 5, not with a RecursionError.  The
+        isolated vertices are twins, so their 1100! automorphisms are known
+        to exceed the cap without drawing any, and the search builds one row
+        tuple per degree: that run ends within a second (2.1 s when it drew
+        5,041 maps and built the rows and neighbour depths pair by pair)."""
         path = tmp_path / "g.txt"
         path.write_text(text)
+        t0 = perf_counter()
         done = capped_main(["search", str(path), "--budget", "10"], 2)
+        assert seconds is None or perf_counter() - t0 < seconds
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
+
+    def test_budget_reaches_the_first_leaf_but_not_the_key_kernel(self, write, capsys, monkeypatch):
+        """The edgeless key kernel is charged sum_k C(n-1, k) C(n, k) k units
+        at the first leaf, before it is generated: 60 on N4 at bound 1.  A
+        budget that reaches the first leaf but not the charge exits 5 without
+        generating the kernel; one unit more generates it (and runs out
+        later in the walk)."""
+        g = empty_graph(4)
+        search = spectra._Search(Presentation.of(g), 1, True, 10**18)
+        next(search.leaves(spectra._SignedGroup(g)))
+        first_leaf = 10**18 - search.left
+        kernel, built = spectra._charpoly_kernel, []
+
+        def counting(*args):
+            built.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(spectra, "_charpoly_kernel", counting)
+        path = write("g.json", g.to_json())
+        for budget, kernels in ((first_leaf + 59, 0), (first_leaf + 60, 1)):
+            built.clear()
+            assert main(["search", path, "--budget", str(budget)]) == 5
+            assert "budget" in capsys.readouterr().err
+            assert len(built) == kernels
 
     def test_huge_bound_exit_5(self, write):
         """The pool size the budget charges is computed only when charged,

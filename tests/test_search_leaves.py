@@ -4,10 +4,14 @@ constant per diagonal-block key over the matrix stream, the recorded
 reports of the evaluation-heavy searches and of three five-vertex classes,
 and the consistency guards of the search."""
 
+import ast
 import gc
+import io
 import json
+import re
+import tokenize
 import tracemalloc
-from itertools import islice
+from itertools import combinations, islice
 from operator import call, itemgetter, mul
 from pathlib import Path
 
@@ -27,7 +31,8 @@ from nilgraph.spectra import (
     SpectrumConsistencyError,
     _automorphism_columns,
     _column_matrix,
-    _det_width,
+    _charpoly_kernel,
+    _charpoly_width,
     _make_cofactors,
     _make_leaf_values,
     _Search,
@@ -127,10 +132,20 @@ def test_leaf_evaluator_matches_reidemeister_number(g, bound, limit, grouped):
         assert next(stream, None) is None
 
 
-def test_edgeless_memo_miss_reuses_the_key_cofactors(monkeypatch):
-    """Each kept pattern of N32 at bound 2 computes the cofactors of its
-    solved column once: a memo miss is evaluated from the t = 1 row of the
-    cofactors that built the keys."""
+def _principal_sums(cols) -> list[int]:
+    """e_1..e_n of the matrix with columns ``cols``: the sums of its
+    principal k x k minors, each by det_flat."""
+    n = len(cols)
+    return [
+        sum(det_flat([cols[c][r] for r in s for c in s], k) for s in combinations(range(n), k))
+        for k in range(1, n + 1)
+    ]
+
+
+def test_edgeless_cofactors_only_for_patterns_with_a_miss(monkeypatch):
+    """The report of N32 at bound 2 computes the cofactors of the solved
+    column once for each kept pattern with a matrix whose characteristic
+    polynomial no earlier pattern met, and for no other pattern."""
     g = empty_graph(3)
     calls = []
     make_cofactors = spectra._make_cofactors
@@ -138,16 +153,25 @@ def test_edgeless_memo_miss_reuses_the_key_cofactors(monkeypatch):
     def counting(order):
         cofactors = make_cofactors(order)
 
-        def counted(cols, ts):
-            calls.append(ts)
-            return cofactors(cols, ts)
+        def counted(cols):
+            calls.append(cols)
+            return cofactors(cols)
 
         return counted
 
     monkeypatch.setattr(spectra, "_make_cofactors", counting)
     compute_spectrum_report(g, 2)
-    kept = sum(len(patterns) for *_, patterns in _search(g, 2).leaves(_SignedGroup(g)))
-    assert len(calls) == kept
+    seen, missed, kept = set(), 0, 0
+    for v, _, solutions, patterns in _search(g, 2).leaves(_SignedGroup(g)):
+        for cols in patterns:
+            keys = set()
+            for x in solutions:
+                cols[v] = x
+                keys.add(tuple(_principal_sums(cols)))
+            missed += not keys <= seen
+            kept += 1
+            seen |= keys
+    assert len(calls) == missed < kept
 
 
 def test_last_columns_share_one_solve_per_key(monkeypatch):
@@ -261,31 +285,96 @@ def _bounded_matrices(draw):
     return bound, cols, draw(st.permutations(range(n)))
 
 
-def _dets(cofactors, cols, v, ts):
-    """t cof[v] - cof . x for each t in ts, with x = cols[v]."""
-    return [t * cof[v] - sum(map(mul, cols[v], cof)) for t, cof in zip(ts, cofactors(cols, ts))]
+def _det_one_minus(cofactors, cols, v) -> int:
+    """cof[v] - cof . x, with x = cols[v]."""
+    cof = cofactors(cols)
+    return cof[v] - sum(map(mul, cols[v], cof))
 
 
 @given(_bounded_matrices())
-def test_cofactors_give_det_t_minus_m_within_a_key_digit(drawn):
-    """For each sign pattern of the placed columns and t = 1..n, the
-    cofactors of the solved column give det(t - M) of the whole matrix,
-    below half a digit of the edgeless key in absolute value; the transpose
-    gives the same n values, as it has the same characteristic polynomial."""
+def test_cofactors_give_det_one_minus_m(drawn):
+    """For each sign pattern of the placed columns, the cofactors of the
+    solved column give det(1 - M) of the whole matrix; the transpose gives
+    the same value."""
     bound, cols, order = drawn
     n, v = len(cols), order[-1]
-    ts = range(1, n + 1)
-    half = 1 << (_det_width(n, n + bound) - 1)
     cofactors = _make_cofactors(order)
     for signed in _sign_patterns(n, order[:-1], [cols[u] for u in order[:-1]]):
         signed[v] = cols[v]
-        values = _dets(cofactors, signed, v, ts)
-        for t, value in zip(ts, values):
-            m = [(t if r == c else 0) - signed[c][r] for r in range(n) for c in range(n)]
-            assert value == det_flat(m, n)
-            assert abs(value) < half
+        value = _det_one_minus(cofactors, signed, v)
+        assert value == det_flat([(r == c) - signed[c][r] for r in range(n) for c in range(n)], n)
         transpose = [tuple(c[i] for c in signed) for i in range(n)]
-        assert _dets(cofactors, transpose, v, ts) == values
+        assert _det_one_minus(cofactors, transpose, v) == value
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """(bound, columns, placement order) of an n x n matrix, n in 1..5, with
+    entries in [-bound, bound], the bound small or up to 10^6; half the
+    draws put +-bound in every entry."""
+    n = draw(st.integers(1, 5))
+    bound = draw(st.one_of(st.integers(1, 3), st.integers(4, 10**6)))
+    corner = draw(st.booleans())
+    entry = st.sampled_from((-bound, bound)) if corner else st.integers(-bound, bound)
+    cols = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+    return bound, cols, draw(st.permutations(range(n)))
+
+
+# The names the generated kernel may hold besides matrix entries m<r>_<c>
+# and minors d<r>_..._<c>.
+KERNEL_NAMES = {"def", "kernel", "cols", "return"}
+
+
+@given(_kernel_matrices())
+def test_charpoly_kernel_gives_the_principal_minor_sums(drawn):
+    """The key base + coef . x of the generated kernel holds, in digit
+    k - 1, e_k (the sum of the principal k x k minors, by det_flat) offset
+    by half a digit, with |e_k| below half a digit.  Its source holds only
+    integer literals, operators and names built from vertex numbers."""
+    bound, cols, order = drawn
+    n, v = len(cols), order[-1]
+    width = _charpoly_width(n, bound)
+    kernel = _charpoly_kernel(n, v, width)
+    placed = cols[:]
+    placed[v] = None
+    base, coef = kernel(placed)
+    key = base + sum(map(mul, coef, cols[v]))
+    half = 1 << (width - 1)
+    want = _principal_sums(cols)
+    assert [(key >> (width * i)) % (2 * half) - half for i in range(n)] == want
+    assert 0 <= key < 1 << (n * width)
+    assert all(abs(e) < half for e in want)
+    for token in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
+        if token.type == tokenize.NAME:
+            assert token.string in KERNEL_NAMES or re.fullmatch(r"[md]\d+(_\d+)+", token.string), token
+        elif token.type == tokenize.NUMBER:
+            assert isinstance(ast.literal_eval(token.string), int), token
+        else:
+            assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+                                  tokenize.ENDMARKER), token
+
+
+def test_edgeless_keys_wider_than_eight_bytes():
+    """N2 at bound 10^6 keys each matrix by 11 bytes.  A hand-built leaf of
+    unimodular matrices with entries near 10^6, evaluated twice (the second
+    time from the memo), gets the exact Reidemeister numbers."""
+    g, bound = empty_graph(2), 10**6
+    assert (2 * _charpoly_width(2, bound) + 7) // 8 == 11
+    search = _search(g, bound)
+    assert search.order == [0, 1]
+    leaf_values = _make_leaf_values(search)
+    a, c = 10**6, 10**6 - 1
+    solutions = ((-999_999, -999_998), (-1, -1), (1, 1), (999_999, 999_998))
+    leaf = 1, ((a, c),), solutions, [[(a, c), None], [(-a, -c), None]]
+    p = Presentation.of(g)
+    finite = set()
+    for _ in range(2):
+        for cols, value in _leaf_matrices(leaf_values, leaf):
+            m = IntMatrix.from_rows([[cols[j][i] for j in range(2)] for i in range(2)])
+            assert det_flat(list(m.entries), 2) in (1, -1)
+            assert reidemeister_number(endo_from_matrix(p, m)).r.value == value, cols
+            finite.add(value)
+    assert finite == {None, 1_999_998, 3_999_996}
 
 
 def test_dense_searches_match_the_recorded_reports(reports):
@@ -447,6 +536,14 @@ class TestReportGuards:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_witnesses_share_equal_rows(self, reports):
+        """A report holds one object per distinct witness row: the 156
+        witnesses of N42 at bound 1 have 624 rows, far fewer distinct."""
+        rep = reports.get(CATALOG_BY_KEY["N42"].graph, 1)
+        rows = [row for m in rep.witnesses.values() for row in m]
+        assert len(rows) == 624
+        assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
 
     def test_value_outside_closed_form(self, monkeypatch):
         # K2 realizes 1, 2, 3 at bound 1; claim the spectrum is {2, inf}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.cli import main
-from nilgraph.graphs import Graph, cycle_graph, empty_graph, isomorphisms
+from nilgraph.graphs import Graph, complete_graph, cycle_graph, disjoint_union, empty_graph, isomorphisms
 from nilgraph.morphism import endo_from_matrix, reidemeister_number
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
@@ -198,13 +198,13 @@ def _count_drawn(monkeypatch) -> list[int]:
 
 def test_leader_columns_of_a_large_graph_use_the_signs_only(monkeypatch):
     """N10 has 10! > 5040 automorphisms, so the group is the signs alone:
-    5041 maps are drawn and no more, and the leaders of ten vertices are
-    the columns with no positive entry below row 0."""
+    its ten twins already give 10!, so no map is drawn, and the leaders of
+    ten vertices are the columns with no positive entry below row 0."""
     drawn = _count_drawn(monkeypatch)
     t0 = perf_counter()
     leaders = _leader_columns(empty_graph(10), 1)
     assert perf_counter() - t0 < 0.5
-    assert drawn == [spectra._GROUP_CAP + 1]
+    assert drawn == [0]
     assert len(leaders) == 3 * 2**9
     assert all(max(c[1:]) <= 0 for c in leaders)
 
@@ -374,12 +374,12 @@ def test_orbit_minimum_of_a_stream_matrix_is_kept(data):
 
 def test_group_of_a_graph_over_the_cap_is_the_signs_alone(monkeypatch):
     """N8 has 8! > 5040 automorphisms, so the group is the signs alone
-    (pi = id): 5041 maps are drawn and no more, and a leaf of eight
-    columns is tested at once."""
+    (pi = id): its eight twins already give 8!, so no map is drawn, and a
+    leaf of eight columns is tested at once."""
     drawn = _count_drawn(monkeypatch)
     g = empty_graph(8)
     assert spectra._automorphisms(g) == [tuple(range(8))]
-    assert drawn == [spectra._GROUP_CAP + 1]
+    assert drawn == [0]
     group = _SignedGroup(g)
     placed = [tuple(1 if i == j else 0 for i in range(8)) for j in range(7)]
     t0 = perf_counter()
@@ -388,6 +388,37 @@ def test_group_of_a_graph_over_the_cap_is_the_signs_alone(monkeypatch):
     # The identity matrix and its column sign changes: the signs alone map
     # e_0 ... e_6 to one another, so every pattern is its own leader.
     assert len(kept) == 2**7
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+@pytest.mark.parametrize(
+    "g, draws",
+    [
+        (empty_graph(8), 0),
+        (complete_graph(8), 0),
+        (_star(8), 0),
+        # 7! = 5040 is at the cap, and so is the group.
+        (_star(7), 5040),
+        # Twin classes give (3!)^4 = 1,296 of its 31,104 automorphisms.
+        (disjoint_union(*[complete_graph(3)] * 4), 5041),
+    ],
+    ids=["N8", "K8", "star8", "star7", "four-triangles"],
+)
+def test_twin_classes_decide_a_large_group_without_drawing(monkeypatch, g, draws):
+    """Twins (equal open or equal closed neighbourhoods) permute freely, so
+    when the product of |class|! over the twin classes is over the cap, the
+    group is the identity and no map is drawn.  Otherwise the maps are drawn
+    as before, up to one over the cap.  Either way the identity stands for
+    the group exactly when it has more elements than the cap."""
+    drawn = _count_drawn(monkeypatch)
+    group = spectra._automorphisms(g)
+    assert drawn == [draws]
+    over = len(list(islice(isomorphisms(g, g), spectra._GROUP_CAP + 1))) > spectra._GROUP_CAP
+    assert (group == [tuple(range(g.n))]) == over
+    assert over or len(group) == draws
 
 
 def _all_graphs(n: int):
