@@ -636,7 +636,10 @@ def _make_leaf_values(search: _Search):
     ]
 
     def direct_values(cols, solutions):
-        """The values of ``leaf_values`` without a memo."""
+        """The values of ``leaf_values`` without a memo.  The budget is
+        charged before any determinant: n^3 for the cofactors, and per
+        solution n for d1 plus N^3 for d2."""
+        search._charge(n**3 + len(solutions) * (n + N**3))
         cof = cofactors(cols)
         if not any(cof):
             # det(1 - M1) vanishes whatever column v is.
@@ -726,9 +729,11 @@ def _make_leaf_values(search: _Search):
 
 
 def _canonical(vectors) -> list[tuple[int, ...]]:
-    """The nonzero primitive vectors among ``vectors`` whose first nonzero
-    entry is positive, sorted."""
-    out = [x for x in vectors if gcd(*x) == 1 and next(c for c in x if c) > 0]
+    """The nonzero primitive vectors in the list ``vectors`` (tuples of one
+    length) whose first nonzero entry is positive, sorted: the primitive
+    ones above the zero tuple in tuple order."""
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    out = [x for x in vectors if x > zero and gcd(*x) == 1]
     out.sort()
     return out
 
@@ -753,16 +758,23 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     Twins, vertices with one open or one closed neighbourhood, permute
     freely.  No vertex has an open and a closed twin at once (a closed twin
     z of u is a neighbour of every open twin of u, so that twin is in the
-    closed neighbourhood of z, that of u), so |Aut| is at least the product
-    of |class|! over the twin classes, and the identity is returned at once
-    when that product is over the cap."""
+    closed neighbourhood of z, that of u), so the twin permutations form a
+    group T of order the product of |class|! over the twin classes.  The m
+    isomorphic components of one type (more than one vertex each) permute
+    too, along isomorphisms fixed once from the first of them: a group W
+    of order the product of m!.  Twins in a component of more than one
+    vertex share a neighbour or an edge, so T keeps every such component
+    in place, and only the identity of W does.  So T and W meet only in
+    the identity, the maps t w are distinct, and |Aut| >= |T| |W|.
+    The identity is returned at once when that product is over the cap."""
     closed = [{u} for u in range(g.n)]
     for a, b in g.edges:
         closed[a].add(b)
         closed[b].add(a)
     closed_twins = Counter(map(frozenset, closed))
     open_twins = Counter(frozenset(s - {u}) for u, s in enumerate(closed))
-    if prod(map(factorial, chain(closed_twins.values(), open_twins.values()))) > _GROUP_CAP:
+    types = map(len, connected_components(g).types)
+    if prod(map(factorial, chain(closed_twins.values(), open_twins.values(), types))) > _GROUP_CAP:
         return [tuple(range(g.n))]
     group = sorted(islice(isomorphisms(g, g), _GROUP_CAP + 1))
     return group if len(group) <= _GROUP_CAP else [tuple(range(g.n))]
@@ -1037,15 +1049,19 @@ class _Search:
     edge relations tie a new column x to each placed neighbour column u by
     u[a] x[b] = u[b] x[a] for every non-edge (a, b), which is linear in x;
     so the candidates for a column are the solutions of that integer system
-    in the box (see ``_box_solutions``).  Systems with one row space have
-    one set of solutions, and the walk meets few row spaces many times, so
-    each system is brought to a canonical form (``_relation_system``) and
-    each (allowed rows, form) pair is solved once per search and its pool
-    reused (``_pool``); the pool of the box is the entry of the empty
-    system.  The last column is the pool of its system filtered by the
-    determinant condition g.x = +-1 (``_solve_last``), and that solve too
-    is kept per search, by (rows, form, +-g), so the leaves that meet one
-    key share one tuple of solutions (``_unit_solutions``).
+    in the box.  Systems with one row space have one set of solutions, and
+    the walk meets few row spaces many times, so each system is brought to
+    a canonical form (``_relation_system``) and each pool is built once per
+    search, by (allowed rows, form, relation dimension), and reused
+    (``_pool``).  A placed column's pool holds only the candidates of its
+    relation dimension (see the centralizer dimension below), built from
+    the supports of that dimension and filtered by the system.  The last
+    column is the pool of its system solved from the box
+    (``_box_solutions``), kept to the candidates of the solved vertex's
+    dimension and filtered by the determinant condition g.x = +-1
+    (``_solve_last``), and that solve too is kept per search, by (rows,
+    form, +-g), so the leaves that meet one key share one tuple of
+    solutions (``_unit_solutions``).
     Column signs are canonicalized during the walk and expanded at the
     leaves, which is lossless because every constraint in play is
     invariant under negating a column.  Partial column sets are
@@ -1075,9 +1091,11 @@ class _Search:
     its neighbours (the centralizer of v, abelianized).  Proof: L(M c) =
     M L(c), since Lambda^2 M is unimodular and maps the edge lattice into
     itself, hence onto itself.  The dimension depends only on the support
-    of c (``_relation_dim``), so the pool of each placed column keeps only
-    the candidates of that dimension (``_pool``).  This cuts only subtrees
-    without leaves; the stream is unchanged.
+    of c (``_support_dim``), so the pool of each placed column holds only
+    the primitive vectors whose support has that dimension
+    (``_support_pool``), and the last column packs only the candidates of
+    that dimension (``_unit_solutions``).  This cuts only subtrees without
+    leaves and candidates that solve no leaf; the stream is unchanged.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
     Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
@@ -1150,7 +1168,8 @@ class _Search:
         self._laplace: dict[int, list] = {}
         # Per vertex v: the dimension deg(v) + 1 of the relation space of
         # every column of v in the search set (see ``_relation_dim``), or
-        # None without the structural prunes; per support: that dimension.
+        # None without the structural prunes; per support bitmask: the
+        # dimension of its columns' relation space (``_support_dim``).
         self.relation_dims = [d + 1 if struct_prunes else None for d in degs]
         self._adjacent = [0] * n
         for a, b in g.edges:
@@ -1238,32 +1257,70 @@ class _Search:
     def _pool(self, rows: tuple[int, ...], system, dim: int | None = None) -> list[tuple]:
         """Canonical candidate columns on ``rows`` under the relation
         ``system`` (rows of coefficients on ``rows``; the walk passes the
-        canonical form of ``_relation_system``), solved once per search and
-        reused whenever the same system comes back.  With ``dim``, only the
-        candidates whose relation space has dimension ``dim``
-        (``_relation_dim``), filtered once per (rows, system, dim)."""
+        canonical form of ``_relation_system``), built once per (rows,
+        system, dim) and reused whenever the same key comes back.
+
+        Without ``dim`` the pool is solved from the box (``_box_solutions``).
+        With it, only the candidates whose relation space has dimension
+        ``dim`` (``_relation_dim``) are kept, and they are not solved from
+        the box: the pool of the empty system is built from the supports
+        of that dimension (``_support_pool``), and the pool of any other
+        system is that one filtered by the system's rows."""
         key = rows, system, dim
         pool = self._pools.get(key)
         if pool is None:
             if dim is None:
                 pool = _canonical(_box_solutions([list(row) for row in system], rows, self.n, self.bound))
+            elif system:
+                pick = _picker(rows)
+                pool = [
+                    x
+                    for x in self._pool(rows, (), dim)
+                    if not any(sum(map(mul, row, pick(x))) for row in system)
+                ]
             else:
-                pool = [x for x in self._pool(rows, system) if self._relation_dim(x) == dim]
+                pool = self._support_pool(rows, dim)
             self._pools[key] = pool
         return pool
 
+    def _support_pool(self, rows: tuple[int, ...], dim: int) -> list[tuple]:
+        """The canonical columns on ``rows`` of the box whose relation space
+        has dimension ``dim``, sorted.  The dimension depends only on the
+        support (``_support_dim``), so each support S of that dimension
+        gives every primitive vector with support exactly S: entries in
+        +-1..+-B on S, the first one positive."""
+        n, bound = self.n, self.bound
+        positive = range(1, bound + 1)
+        signed = [*range(-bound, 0), *positive]
+        full = sum(1 << r for r in rows)
+        out = []
+        support = full
+        while support:
+            if self._support_dim(support) == dim:
+                # A candidate is a 0 for the rows off S, then the entries on S.
+                take = [0] * n
+                for i, r in enumerate(r for r in range(n) if support >> r & 1):
+                    take[r] = i + 1
+                pick = _picker(take)
+                spans = [signed] * (support.bit_count() - 1)
+                out += [pick(vals) for vals in product((0,), positive, *spans) if gcd(*vals) == 1]
+            support = (support - 1) & full
+        out.sort()
+        return out
+
     def _relation_dim(self, c: tuple[int, ...]) -> int:
         """The dimension of the relation space L(c) = {x : c[a] x[b] =
-        c[b] x[a] for every non-edge (a, b)} of a nonzero column c, memoized
-        per support S of c.  A non-edge from a row b off S to a row a of S
-        forces x[b] = 0, and a non-edge inside S ties x[a] / c[a] to
-        x[b] / c[b]; so the dimension is the number of rows off S adjacent
-        to every row of S, plus the number of components of the complement
-        graph on S."""
-        support = 0
-        for r, x in enumerate(c):
-            if x:
-                support |= 1 << r
+        c[b] x[a] for every non-edge (a, b)} of a nonzero column c, which
+        depends only on its support (``_support_dim``)."""
+        return self._support_dim(sum(1 << r for r, x in enumerate(c) if x))
+
+    def _support_dim(self, support: int) -> int:
+        """The dimension of the relation space of the columns whose support
+        is the nonempty row bitmask ``support``, memoized per support.  A
+        non-edge from a row b off S to a row a of S forces x[b] = 0, and a
+        non-edge inside S ties x[a] / c[a] to x[b] / c[b]; so the dimension
+        is the number of rows off S adjacent to every row of S, plus the
+        number of components of the complement graph on S."""
         dim = self._dims.get(support)
         if dim is None:
             adjacent = self._adjacent
@@ -1287,14 +1344,21 @@ class _Search:
         """The sorted columns x on ``rows`` of the box that solve the
         relation ``system`` and g.x = +-1, solved once per search and shared
         by every last column that asks again.  The pool of the system
-        (``_pool``) is packed once (see ``_packed_solutions``), and the
-        solutions of each +-g are kept with the packing: g.x = +-1 does not
-        change under g -> -g, so g is keyed with its first nonzero entry
-        positive."""
+        (``_pool``, solved from the box: the last column is charged for its
+        solve, not for its box) is packed once (see ``_packed_solutions``),
+        and the solutions of each +-g are kept with the packing: g.x = +-1
+        does not change under g -> -g, so g is keyed with its first nonzero
+        entry positive.  With the structural prunes, only the candidates
+        with the relation dimension of the solved vertex are packed: every
+        column of that vertex in the search set has it, so no solution is
+        lost."""
         key = rows, system
         packed = self._packed.get(key)
         if packed is None:
             pool = self._pool(rows, system)
+            dim = self.relation_dims[self.order[-1]]
+            if dim is not None:
+                pool = [x for x in pool if self._relation_dim(x) == dim]
             size = (_det_width(self.n, self.bound) + 7) // 8
             half = 1 << (8 * size - 1)
             offset = int.from_bytes(half.to_bytes(size, "little") * len(pool), "little")

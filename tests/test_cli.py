@@ -13,7 +13,7 @@ import nilgraph.cli as cli
 import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.cli import main
-from nilgraph.graphs import empty_graph, simplicial_join
+from nilgraph.graphs import complete_graph, disjoint_union, empty_graph, simplicial_join
 from nilgraph.nilgroup import Presentation
 
 C5 = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
@@ -370,6 +370,20 @@ class TestSearch:
             assert main(["search", path, "--budget", str(budget)]) == 5
             assert "budget" in capsys.readouterr().err
             assert len(built) == kernels
+
+    def test_budget_charges_leaf_evaluation(self, write):
+        """Each direct evaluation of a leaf is charged before any
+        determinant: n^3 for the cofactors, and per solution n for det(1 - M1)
+        and N^3 for det(1 - M2).  Four disjoint triangles have one degree
+        class, so every leaf is evaluated directly, each with a 54 x 54
+        det(1 - M2); ``search --budget 100000`` ran for more than a minute
+        on those uncharged evaluations, and now exits 5 within a second."""
+        g = write("g.json", disjoint_union(*[complete_graph(3)] * 4).to_json())
+        t0 = perf_counter()
+        done = capped_main(["search", g, "--budget", "100000"], 2)
+        assert perf_counter() - t0 < 1
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
 
     def test_huge_bound_exit_5(self, write):
         """The pool size the budget charges is computed only when charged,

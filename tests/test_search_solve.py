@@ -262,6 +262,36 @@ def test_solved_systems_are_reused_per_rows(data):
         assert search._pool(rows, system) == want
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_pools_from_supports_match_the_filtered_box(data):
+    """The pool of a placed column of a given relation dimension, built from
+    the supports of that dimension and filtered by the system, is element
+    by element the box solved under the system, canonicalized and filtered
+    by the dimension, on random graphs with n <= 6, bounds 1-3, random
+    allowed rows and the systems of random neighbour columns.  The packed
+    pool of a last column is the solved pool filtered by the solved
+    vertex's dimension, so every packed candidate has it."""
+    n = data.draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    bound = data.draw(st.integers(1, 3))
+    search = _Search(Presentation.of(graph), bound, True, None)
+    # At most 7^5 points of the box per solve.
+    k = data.draw(st.integers(1, min(n, 5 if bound == 3 else 6)))
+    rows = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))))
+    depth = data.draw(st.integers(0, n - 1))
+    entry = st.integers(-bound, bound)
+    placed = [tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(depth)]
+    system = search._relation_system(depth, rows, placed)
+    dim = data.draw(st.one_of(st.sampled_from(search.relation_dims), st.integers(1, n)))
+    solved = _fresh_pool(system, rows, n, bound)
+    assert search._pool(rows, system, dim) == [x for x in solved if search._relation_dim(x) == dim]
+    search._unit_solutions(rows, system, [1] * k)
+    solved_dim = search.relation_dims[search.order[-1]]
+    assert search._packed[rows, system][0] == [x for x in solved if search._relation_dim(x) == solved_dim]
+
+
 @given(st.data())
 def test_equivalent_systems_have_one_canonical_form(data):
     """A relation system and copies of it with rows scaled, added to one

@@ -402,17 +402,20 @@ def _star(leaves: int) -> Graph:
         (_star(8), 0),
         # 7! = 5040 is at the cap, and so is the group.
         (_star(7), 5040),
-        # Twin classes give (3!)^4 = 1,296 of its 31,104 automorphisms.
-        (disjoint_union(*[complete_graph(3)] * 4), 5041),
+        # Twin classes give (3!)^4 = 1,296 of its 31,104 automorphisms, and
+        # its four isomorphic components a factor 4! more: all of them.
+        (disjoint_union(*[complete_graph(3)] * 4), 0),
     ],
     ids=["N8", "K8", "star8", "star7", "four-triangles"],
 )
 def test_twin_classes_decide_a_large_group_without_drawing(monkeypatch, g, draws):
-    """Twins (equal open or equal closed neighbourhoods) permute freely, so
-    when the product of |class|! over the twin classes is over the cap, the
-    group is the identity and no map is drawn.  Otherwise the maps are drawn
-    as before, up to one over the cap.  Either way the identity stands for
-    the group exactly when it has more elements than the cap."""
+    """Twins (equal open or equal closed neighbourhoods) permute freely, and
+    so do the m isomorphic components of each type, so when the product of
+    |class|! over the twin classes and m! over the component types is over
+    the cap, the group is the identity and no map is drawn.  Otherwise the
+    maps are drawn as before, up to one over the cap.  Either way the
+    identity stands for the group exactly when it has more elements than
+    the cap."""
     drawn = _count_drawn(monkeypatch)
     group = spectra._automorphisms(g)
     assert drawn == [draws]
