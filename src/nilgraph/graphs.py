@@ -260,15 +260,16 @@ def _structure(g: Graph) -> tuple[list[list[int]], list[tuple]]:
     for i, j in g.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    return nbrs, [(len(a), sorted(len(nbrs[u]) for u in a)) for a in nbrs]
+    return nbrs, [(len(a), tuple(sorted(len(nbrs[u]) for u in a))) for a in nbrs]
 
 
 def isomorphisms(g1: Graph, g2: Graph):
     """Yield each isomorphism pi from g1 to g2 (vertex v goes to pi[v]) once,
     by backtracking (McKay and Piperno 2014).  A vertex maps only to one of
     its signature and adjacent to exactly the images of its placed
-    neighbours.  The next vertex placed is the one with the most neighbours
-    placed, ties broken by signature, then label."""
+    neighbours, so one with a placed neighbour w tries only the neighbours
+    of w's image, ascending.  The next vertex placed is the one with the
+    most neighbours placed, ties broken by signature, then label."""
     n = g1.n
     if n != g2.n or len(g1.edges) != len(g2.edges):
         return
@@ -276,26 +277,41 @@ def isomorphisms(g1: Graph, g2: Graph):
     nbrs2, sig2 = _structure(g2)
     if sorted(sig1) != sorted(sig2):
         return
+    for a in nbrs2:
+        a.sort()
     masks2 = [sum(1 << u for u in a) for a in nbrs2]
+    of_sig: dict[tuple, list[int]] = {}
+    for u in range(n):
+        of_sig.setdefault(sig2[u], []).append(u)
     left = sorted(range(n), key=lambda v: (sig1[v], v))
-    order, back, placed = [], [], [0] * n
+    order, back, placed, done = [], [], [0] * n, [False] * n
     while left:
         v = max(left, key=placed.__getitem__)
         left.remove(v)
-        back.append([w for w in nbrs1[v] if w in order])
+        back.append([w for w in nbrs1[v] if done[w]])
         order.append(v)
+        done[v] = True
         for u in nbrs1[v]:
             placed[u] += 1
-    cands = [[u for u in range(n) if sig2[u] == sig1[v]] for v in order]
     if n == 0:
         yield ()
         return
+
+    def candidates(k):
+        """The images to try for order[k], ascending: the vertices of its
+        signature, among the neighbours of the image of its first placed
+        neighbour if it has one."""
+        sig = sig1[order[k]]
+        if not back[k]:
+            return iter(of_sig[sig])
+        return iter([u for u in nbrs2[pi[back[k][0]]] if sig2[u] == sig])
+
     # An explicit stack, not one Python frame per vertex: per depth k, the
     # candidates for order[k] not tried yet and the images its placed
     # neighbours need; ``used`` holds the images of the depths below k.
     pi = [0] * n
     used = 0
-    stack = [(iter(cands[0]), 0)]
+    stack = [(candidates(0), 0)]
     while stack:
         k = len(stack) - 1
         tries, want = stack[-1]
@@ -312,7 +328,7 @@ def isomorphisms(g1: Graph, g2: Graph):
             yield tuple(pi)
         else:
             used |= 1 << u
-            stack.append((iter(cands[k + 1]), sum(1 << pi[w] for w in back[k + 1])))
+            stack.append((candidates(k + 1), sum(1 << pi[w] for w in back[k + 1])))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -685,11 +685,7 @@ def _make_leaf_values(search: _Search):
         def leaf_keys(cols, solutions):
             hit = packs.get(id(solutions))
             if hit is None:
-                ones = int.from_bytes((1).to_bytes(size, "little") * len(solutions), "little")
-                rows = []
-                for r in range(n):
-                    digits = b"".join([(x[r] + bound).to_bytes(size, "little") for x in solutions])
-                    rows.append(int.from_bytes(digits, "little") - bound * ones)
+                ones, rows = _pack(solutions, range(n), size, bound)
                 hit = packs[id(solutions)] = solutions, rows, ones, range(0, size * len(solutions), size)
             _, rows, ones, starts = hit
             base, coef = kernel(cols)
@@ -1018,6 +1014,20 @@ def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _pack(vectors, rows, size: int, shift: int) -> tuple[int, list[int]]:
+    """The entries of ``vectors`` packed into big integers, one per row r
+    of ``rows``: the size-byte slot j holds x[r] of x = vectors[j], so the
+    integer is the sum of x[r] 256^(size j) over j.  Returned with the
+    integer that holds 1 in every slot.  Each entry plus ``shift`` must
+    fit a slot; it is packed so, and the shift taken off after."""
+    ones = int.from_bytes((1).to_bytes(size, "little") * len(vectors), "little")
+    packed = []
+    for r in rows:
+        digits = b"".join([(x[r] + shift).to_bytes(size, "little") for x in vectors])
+        packed.append(int.from_bytes(digits, "little") - shift * ones)
+    return ones, packed
+
+
 def _packed_solutions(packed, g) -> tuple:
     """The solutions of g.x = +-1 in a packed last-column pool (see
     ``_Search._unit_solutions``), sorted: one packed dot product.
@@ -1053,15 +1063,13 @@ class _Search:
     the walk meets few row spaces many times, so each system is brought to
     a canonical form (``_relation_system``) and each pool is built once per
     search, by (allowed rows, form, relation dimension), and reused
-    (``_pool``).  A placed column's pool holds only the candidates of its
-    relation dimension (see the centralizer dimension below), built from
-    the supports of that dimension and filtered by the system.  The last
-    column is the pool of its system solved from the box
-    (``_box_solutions``), kept to the candidates of the solved vertex's
-    dimension and filtered by the determinant condition g.x = +-1
-    (``_solve_last``), and that solve too is kept per search, by (rows,
-    form, +-g), so the leaves that meet one key share one tuple of
-    solutions (``_unit_solutions``).
+    (``_pool``).  Every column's pool, the last one's too, holds only the
+    candidates of its relation dimension (see the centralizer dimension
+    below), built from the supports of that dimension and filtered by the
+    system.  The last column's pool is then filtered by the determinant
+    condition g.x = +-1 (``_solve_last``), and that solve too is kept per
+    search, by (rows, form, +-g), so the leaves that meet one key share one
+    tuple of solutions (``_unit_solutions``).
     Column signs are canonicalized during the walk and expanded at the
     leaves, which is lossless because every constraint in play is
     invariant under negating a column.  Partial column sets are
@@ -1074,7 +1082,11 @@ class _Search:
     size of the unconstrained pool per placed column on k rows, before any
     pool or term is built (computed only under a finite budget, see
     ``_charge_pool``), and 2 (2B+1)^(k-1) per last column on k rows,
-    whatever the solve enumerates and whether it was solved before.  The
+    whatever the solve enumerates and whether it was solved before.  So a
+    last column that is the first to ask for the support pool of its rows
+    and dimension builds it uncharged: over every graph on at most 5
+    vertices at B <= 2, the largest such pool holds 1,425 candidates,
+    against a leaf charge of 1,250.  The
     minors are charged too: C(n, k) per candidate for k placed columns, and
     C(n, k) k before the expansion terms for k columns are built.
     ``_make_leaf_values`` evaluates leaves, and ``check_structure`` checks
@@ -1091,11 +1103,10 @@ class _Search:
     its neighbours (the centralizer of v, abelianized).  Proof: L(M c) =
     M L(c), since Lambda^2 M is unimodular and maps the edge lattice into
     itself, hence onto itself.  The dimension depends only on the support
-    of c (``_support_dim``), so the pool of each placed column holds only
-    the primitive vectors whose support has that dimension
-    (``_support_pool``), and the last column packs only the candidates of
-    that dimension (``_unit_solutions``).  This cuts only subtrees without
-    leaves and candidates that solve no leaf; the stream is unchanged.
+    of c (``_support_dim``), so the pool of each column holds only the
+    primitive vectors whose support has that dimension
+    (``_support_pool``).  This cuts only subtrees without leaves and
+    candidates that solve no leaf; the stream is unchanged.
 
     Symmetry: let psi = P_pi D_s be a signed permutation with pi in
     Aut(graph).  Conjugation X -> psi X psi^-1 maps the search set onto
@@ -1151,9 +1162,9 @@ class _Search:
         self._relations: dict[tuple, frozenset] = {}
         self._systems: dict[frozenset, tuple] = {}
         # Per (allowed rows, relation system, relation dimension or None): the
-        # canonical candidates (of that dimension), and for a last column
-        # those candidates negated and packed for g.x, with the solutions per
-        # +-g (see ``_unit_solutions``).
+        # canonical candidates (of that dimension); per (allowed rows,
+        # relation system) of a last column: its pool negated and packed for
+        # g.x, with the solutions per +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
         # Per number of rows k: the size of the unconstrained pool on k rows
@@ -1167,7 +1178,7 @@ class _Search:
         # when the walk first places k columns.
         self._laplace: dict[int, list] = {}
         # Per vertex v: the dimension deg(v) + 1 of the relation space of
-        # every column of v in the search set (see ``_relation_dim``), or
+        # every column of v in the search set (see ``_Search``), or
         # None without the structural prunes; per support bitmask: the
         # dimension of its columns' relation space (``_support_dim``).
         self.relation_dims = [d + 1 if struct_prunes else None for d in degs]
@@ -1260,12 +1271,13 @@ class _Search:
         canonical form of ``_relation_system``), built once per (rows,
         system, dim) and reused whenever the same key comes back.
 
-        Without ``dim`` the pool is solved from the box (``_box_solutions``).
-        With it, only the candidates whose relation space has dimension
-        ``dim`` (``_relation_dim``) are kept, and they are not solved from
-        the box: the pool of the empty system is built from the supports
-        of that dimension (``_support_pool``), and the pool of any other
-        system is that one filtered by the system's rows."""
+        Without ``dim``, for the unpruned reference, the pool is solved
+        from the box (``_box_solutions``).  With it, only the candidates
+        whose relation space has dimension ``dim`` are kept, and they are
+        not solved from the box: the pool of the empty system is built from
+        the supports of that dimension (``_support_pool``), and the pool of
+        any other system is that one filtered by the system's rows.  A last
+        column can be the first to build a pool (see ``_Search``)."""
         key = rows, system, dim
         pool = self._pools.get(key)
         if pool is None:
@@ -1308,12 +1320,6 @@ class _Search:
         out.sort()
         return out
 
-    def _relation_dim(self, c: tuple[int, ...]) -> int:
-        """The dimension of the relation space L(c) = {x : c[a] x[b] =
-        c[b] x[a] for every non-edge (a, b)} of a nonzero column c, which
-        depends only on its support (``_support_dim``)."""
-        return self._support_dim(sum(1 << r for r, x in enumerate(c) if x))
-
     def _support_dim(self, support: int) -> int:
         """The dimension of the relation space of the columns whose support
         is the nonempty row bitmask ``support``, memoized per support.  A
@@ -1343,32 +1349,25 @@ class _Search:
     def _unit_solutions(self, rows: tuple[int, ...], system, g: list[int]) -> tuple:
         """The sorted columns x on ``rows`` of the box that solve the
         relation ``system`` and g.x = +-1, solved once per search and shared
-        by every last column that asks again.  The pool of the system
-        (``_pool``, solved from the box: the last column is charged for its
-        solve, not for its box) is packed once (see ``_packed_solutions``),
-        and the solutions of each +-g are kept with the packing: g.x = +-1
-        does not change under g -> -g, so g is keyed with its first nonzero
-        entry positive.  With the structural prunes, only the candidates
-        with the relation dimension of the solved vertex are packed: every
-        column of that vertex in the search set has it, so no solution is
-        lost."""
+        by every last column that asks again.  The candidates are the pool
+        of the rows, the system and the solved vertex's relation dimension
+        (``_pool``), which every column of that vertex in the search set
+        has, so no solution is lost.  The last column can be the first to
+        build that pool, and is charged for its solve, not for the pool
+        (see ``_Search``).  The pool is packed once (``_pack``, see
+        ``_packed_solutions``), and the solutions of each +-g are kept with
+        the packing: g.x = +-1 does not change under g -> -g, so g is keyed
+        with its first nonzero entry positive."""
         key = rows, system
         packed = self._packed.get(key)
         if packed is None:
-            pool = self._pool(rows, system)
-            dim = self.relation_dims[self.order[-1]]
-            if dim is not None:
-                pool = [x for x in pool if self._relation_dim(x) == dim]
+            pool = self._pool(rows, system, self.relation_dims[self.order[-1]])
             size = (_det_width(self.n, self.bound) + 7) // 8
             half = 1 << (8 * size - 1)
-            offset = int.from_bytes(half.to_bytes(size, "little") * len(pool), "little")
-            coords = []
-            for r in rows:
-                digits = b"".join([(x[r] + half).to_bytes(size, "little") for x in pool])
-                coords.append(int.from_bytes(digits, "little") - offset)
+            ones, coords = _pack(pool, rows, size, half)
             targets = [(half + d).to_bytes(size, "little") for d in (-1, 1)]
             negated = [tuple(map(neg, x)) for x in pool]
-            packed = self._packed[key] = pool, negated, size, offset, coords, targets, {}
+            packed = self._packed[key] = pool, negated, size, half * ones, coords, targets, {}
         solved = packed[-1]
         for c in g:
             if c:
@@ -1490,11 +1489,11 @@ class _Search:
     def _solve_last(self, v: int, rows, placed, minors, state=None) -> tuple | None:
         """Solve sum_r g_r c_r = +-1 for the final column over the allowed
         box, together with its relation constraints; returns the leaf (see
-        ``leaves``), or None without solutions.  The pool of the relation
-        system, solved once per search like that of every other column, is
-        filtered by one packed dot product (``_unit_solutions``).  The sign
-        patterns are those the group state of the leaf's node keeps
-        (``_state_patterns``)."""
+        ``leaves``), or None without solutions.  The pool the placed
+        columns draw from (``_pool``), which this column can be the first
+        to build, is filtered by one packed dot product
+        (``_unit_solutions``).  The sign patterns are those the group state
+        of the leaf's node keeps (``_state_patterns``)."""
         n = self.n
         # The rows without r have rank n - 1 - r among the (n-1)-sets.
         g = [minors[n - 1 - r] * (-1) ** (r + n - 1) for r in rows]

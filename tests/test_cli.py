@@ -326,8 +326,12 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "text, seconds",
-        [("1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)), None), ("1100\n", 1)],
-        ids=["path-1000", "isolated-1100"],
+        [
+            ("1000\n" + "".join(f"{i} {i + 1}\n" for i in range(999)), None),
+            ("1100\n", 1),
+            ("500\n" + "".join(f"{i} {(i + 1) % 500}\n" for i in range(500)), 10),
+        ],
+        ids=["path-1000", "isolated-1100", "cycle-500"],
     )
     def test_budget_guard_after_the_group_on_1000_vertices(self, tmp_path, text, seconds):
         """The report finds the graph's automorphisms before the first budget
@@ -338,7 +342,10 @@ class TestSearch:
         isolated vertices are twins, so their 1100! automorphisms are known
         to exceed the cap without drawing any, and the search builds one row
         tuple per degree: that run ends within a second (2.1 s when it drew
-        5,041 maps and built the rows and neighbour depths pair by pair)."""
+        5,041 maps and built the rows and neighbour depths pair by pair).
+        The 1,000 automorphisms of a 500-cycle are drawn within 10 s, as
+        each vertex with a placed neighbour tries only the two neighbours
+        of that neighbour's image (about 30 s when it tried all 500)."""
         path = tmp_path / "g.txt"
         path.write_text(text)
         t0 = perf_counter()

@@ -20,6 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.exactlin import IntMatrix, det_flat, echelon, rank, smith_normal_form
 from nilgraph.graphs import Graph, cycle_graph, path_graph
@@ -32,6 +33,8 @@ from nilgraph.spectra import (
     _packed_solutions,
     _Search,
     _SignedGroup,
+    SpectrumConsistencyError,
+    compute_spectrum_report,
 )
 
 STREAM_GOLDEN = Path(__file__).resolve().parent / "golden" / "automorphism_streams.json"
@@ -79,6 +82,12 @@ def test_automorphism_streams_match_the_recorded_streams():
         assert _stream_digest(g, bound, prunes) == golden[key], key
 
 
+def _relation_dim(search, c) -> int:
+    """The relation dimension the search gives a nonzero column c: that of
+    its support (``_Search._support_dim``)."""
+    return search._support_dim(sum(1 << r for r, x in enumerate(c) if x))
+
+
 def _relation_space_dim(c, nonedges, n) -> int:
     """n minus the rank of the relation rows c[a] x[b] - c[b] x[a] of column
     c over every non-edge (a, b): the dimension of its relation space, by
@@ -96,7 +105,7 @@ def _relation_space_dim(c, nonedges, n) -> int:
 @given(st.data())
 def test_relation_dimension_depends_only_on_the_support(data):
     """The dimension of a column's relation space from its support alone
-    (``_Search._relation_dim``: the rows off the support adjacent to all of
+    (``_Search._support_dim``: the rows off the support adjacent to all of
     it, plus the components of the complement graph on it) is what
     elimination gives, on random graphs with n <= 6 and random nonzero
     columns, half of them with entries +-bound and 0 only.  Column v of the
@@ -112,11 +121,11 @@ def test_relation_dimension_depends_only_on_the_support(data):
     else:
         entry = st.integers(-bound, bound)
     c = tuple(data.draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
-    assert search._relation_dim(c) == _relation_space_dim(c, search.nonedges, n)
+    assert _relation_dim(search, c) == _relation_space_dim(c, search.nonedges, n)
     degs = graph.degrees()
     for v in range(n):
         e = tuple(int(r == v) for r in range(n))
-        assert search._relation_dim(e) == degs[v] + 1
+        assert _relation_dim(search, e) == degs[v] + 1
         assert search._pool((v,), (), search.relation_dims[v]) == [e]
 
 
@@ -270,8 +279,8 @@ def test_pools_from_supports_match_the_filtered_box(data):
     by element the box solved under the system, canonicalized and filtered
     by the dimension, on random graphs with n <= 6, bounds 1-3, random
     allowed rows and the systems of random neighbour columns.  The packed
-    pool of a last column is the solved pool filtered by the solved
-    vertex's dimension, so every packed candidate has it."""
+    pool of a last column is the pool at the solved vertex's dimension, so
+    it too is the solved pool filtered by that dimension."""
     n = data.draw(st.integers(1, 6))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     graph = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
@@ -286,10 +295,10 @@ def test_pools_from_supports_match_the_filtered_box(data):
     system = search._relation_system(depth, rows, placed)
     dim = data.draw(st.one_of(st.sampled_from(search.relation_dims), st.integers(1, n)))
     solved = _fresh_pool(system, rows, n, bound)
-    assert search._pool(rows, system, dim) == [x for x in solved if search._relation_dim(x) == dim]
+    assert search._pool(rows, system, dim) == [x for x in solved if _relation_dim(search, x) == dim]
     search._unit_solutions(rows, system, [1] * k)
     solved_dim = search.relation_dims[search.order[-1]]
-    assert search._packed[rows, system][0] == [x for x in solved if search._relation_dim(x) == solved_dim]
+    assert search._packed[rows, system][0] == [x for x in solved if _relation_dim(search, x) == solved_dim]
 
 
 @given(st.data())
@@ -427,7 +436,7 @@ def test_packed_hits_off_slot_are_skipped():
     slots at byte 1, yet neither candidate solves g.x = +-1."""
     search = _Search(Presentation.of(Graph.from_edges(2, [])), 127, True, None)
     rows = (0, 1)
-    search._pools[rows, (), None] = [(127, -127), (127, -1)]
+    search._pools[rows, (), 1] = [(127, -127), (127, -1)]
     search._unit_solutions(rows, (), [1, 0])
     packed = search._packed[rows, ()]
     pool, _, size, offset, coords, _, _ = packed
@@ -538,6 +547,25 @@ def test_walks_charge_the_recorded_budget(monkeypatch):
         assert tuple(got) == want, (key, bound)
         assert all(map(le, got, DEGREE_PRUNE_BUDGETS[key, bound])), (key, bound)
         assert got[0] <= LEAF_TEST_BUDGETS[key, bound], (key, bound)
+
+
+def test_pruned_reports_solve_no_box(monkeypatch):
+    """Every column of a pruned search, the last one too, draws its pool
+    from the supports of its relation dimension: the report of each
+    benchmark search runs with the box solve raising.  The closed form of
+    two_edges misses values its search realizes at bound 3, which the
+    report finds after the whole search."""
+
+    def raising(*args):
+        raise AssertionError("a pruned search solved a box")
+
+    monkeypatch.setattr(spectra, "_box_solutions", raising)
+    for key, bound in WALK_BUDGETS:
+        g = CATALOG_BY_KEY[key].graph if key in CATALOG_BY_KEY else EXTRA_GRAPHS[key]
+        try:
+            compute_spectrum_report(g, bound)
+        except SpectrumConsistencyError:
+            assert (key, bound) == ("two_edges", 3)
 
 
 def test_pool_size_formula_matches_the_pool():
