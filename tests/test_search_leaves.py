@@ -1,7 +1,7 @@
 """The per-leaf evaluation of the bounded search: the leaf stream against
 the matrix stream, the leaf evaluator against ``reidemeister_number``, R
 constant per diagonal-block key over the matrix stream, the recorded
-reports of the evaluation-heavy searches and of three five-vertex classes,
+reports of the evaluation-heavy searches and of six five-vertex classes,
 and the consistency guards of the search."""
 
 import ast
@@ -414,16 +414,22 @@ def test_catalog_reports_match_the_recorded_reports(reports):
 
 
 # Five-vertex classes at bound 1, where an isolated vertex puts the solved
-# column in a class of its own.
+# column in a class of its own.  The last three are homogeneous: each
+# degree class is a clique or independent, and each pair of classes is
+# complete or anticomplete, so every class is keyed by its characteristic
+# polynomial.
 FIVE_VERTEX = {
     "P3_plus_two_points": [(0, 1), (1, 2)],
     "diamond_plus_point": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
     "star_plus_point": [(0, 1), (0, 2), (0, 3)],
+    "K2_plus_three_points": [(0, 1)],
+    "K3_plus_two_points": [(0, 1), (0, 2), (1, 2)],
+    "K3_plus_K2": [(0, 1), (0, 2), (1, 2), (3, 4)],
 }
 
 
 def test_five_vertex_reports_match_the_recorded_reports(reports):
-    """Report JSON of three five-vertex classes at bound 1, byte for byte as
+    """Report JSON of six five-vertex classes at bound 1, byte for byte as
     recorded."""
     with open(FIVE_VERTEX_GOLDEN) as fh:
         golden = json.load(fh)
