@@ -518,15 +518,27 @@ def _charpoly_width(n: int, bound: int) -> int:
     return max(comb(n, k) * factorial(k) * bound**k for k in range(n + 1)).bit_length() + 2
 
 
-def _charpoly_kernel(n: int, v: int, width: int):
-    """The key kernel of an edgeless search whose solved vertex is v,
-    called as ``kernel(cols)`` on the placed columns of a matrix M (cols[v]
-    is unread).  It returns (base, coef) such that the matrix whose column
-    v is x has the key base + coef . x: digit k - 1 of ``width`` bits holds
-    e_k + 2^(width - 1), where e_k is the sum of the principal k x k minors
-    of M, so that det(t - M) = sum_k (-1)^k e_k t^(n-k).
+def _degree_classes(g: Graph) -> list[tuple[tuple[int, ...], bool]]:
+    """The degree classes of g in degree order, as (rows, whole): whole when
+    every two of its vertices are adjacent or none are, and so, for each
+    other class, are every vertex of it and every vertex of the other."""
+    degs = g.degrees()
+    classes = [tuple(r for r in range(g.n) if degs[r] == d) for d in sorted(set(degs))]
+    return [(c, all(len({g.has_edge(a, b) for a in c for b in o if a != b}) < 2 for o in classes)) for c in classes]
 
-    Each e_k is affine in x.  A principal minor on rows S without v is a
+
+def _charpoly_kernel(classes, v: int, width: int):
+    """The key kernel of a search whose solved vertex is v, for the degree
+    classes (rows, whole) of ``_degree_classes``, called as ``kernel(cols)``
+    on the placed columns of a matrix M (cols[v] is unread).  It returns
+    (base, coef) such that the matrix whose column v is x has the key
+    base + coef . x, coef over the rows of v's class.  Each ``width``-bit
+    digit holds a value plus 2^(width - 1): class by class, e_1..e_m of the
+    diagonal block A (M on the class) of a whole class of m rows, e_k the
+    sum of the principal k x k minors, so det(t - A) = sum_k (-1)^k e_k
+    t^(m-k); and the entries of A, column by column, of any other class.
+
+    Each digit is affine in x.  A principal minor on rows S without v is a
     constant, and one with v is, expanded along column v, the sum over r
     in S of +-x[r] times the minor of M on rows S - r and columns S - v.
     Every such minor of placed columns is expanded along the last column
@@ -534,6 +546,7 @@ def _charpoly_kernel(n: int, v: int, width: int):
     is emitted as straight-line code over local variables and compiled by
     ``exec``; its source, kept as ``kernel.source``, holds only integer
     literals and names built from vertex numbers."""
+    n = sum(len(rows) for rows, _ in classes)
     lines = [f"    {''.join(f'm{r}_{c}, ' for r in range(n))}= cols[{c}]\n" for c in range(n) if c != v]
     names: dict[tuple, str] = {}
 
@@ -553,23 +566,29 @@ def _charpoly_kernel(n: int, v: int, width: int):
             lines.append(f"    {name} = {_signed_sum(terms)}\n")
         return name
 
-    # Per coefficient of x[r], r < n, and for the constant at r = n: the
-    # terms of e_k, as (positive, name), at index k - 1.
-    terms = [[[] for _ in range(n)] for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for s in combinations(range(n), k):
-            if v not in s:
-                terms[n][k - 1].append((True, minor(s, s)))
-                continue
-            j = s.index(v)
-            for i, r in enumerate(s):
-                terms[r][k - 1].append(((i + j) % 2 == 0, minor(s[:i] + s[i + 1 :], s[:j] + s[j + 1 :])))
-    *coef, const = [
-        " + ".join(f"(({_signed_sum(t)}) << {width * i})" for i, t in enumerate(per_k) if t) or "0"
-        for per_k in terms
-    ]
-    offset = sum(1 << (width * k + width - 1) for k in range(n))
-    source = f"def kernel(cols):\n{''.join(lines)}    return {hex(offset)} + {const}, ({', '.join(coef)},)\n"
+    # Per digit: the (positive, expression) terms of each x[r] and of r = None.
+    digits: list[dict] = []
+    for rows, whole in classes:
+        if not whole:
+            digits += [{r: [(True, "1")]} if c == v else {None: [(True, f"m{r}_{c}")]} for c in rows for r in rows]
+            continue
+        for k in range(1, len(rows) + 1):
+            terms: dict = {}
+            for s in combinations(rows, k):
+                if v not in s:
+                    terms.setdefault(None, []).append((True, minor(s, s)))
+                    continue
+                j = s.index(v)
+                for i, r in enumerate(s):
+                    terms.setdefault(r, []).append(((i + j) % 2 == 0, minor(s[:i] + s[i + 1 :], s[:j] + s[j + 1 :])))
+            digits.append(terms)
+
+    def packed(r) -> str:
+        return " + ".join(f"(({_signed_sum(t[r])}) << {width * i})" for i, t in enumerate(digits) if r in t) or "0"
+
+    coef = ", ".join(packed(r) for rows, _ in classes if v in rows for r in rows)
+    offset = sum(1 << (width * i + width - 1) for i in range(len(digits)))
+    source = f"def kernel(cols):\n{''.join(lines)}    return {hex(offset)} + {packed(None)}, ({coef},)\n"
     namespace: dict = {}
     exec(source, namespace)
     kernel = namespace["kernel"]
@@ -591,34 +610,32 @@ def _make_leaf_values(search: _Search):
     None when it is infinite.  Within one pattern only the column of the
     solved vertex v varies.
 
-    det(1 - M1) is affine in column v, so it is one dot product with the
+    det(1 - M1) is affine in column v, so it is one dot product d1 with the
     cofactors of column v of 1 - M1 (``_make_cofactors``).  Of 1 - M2 only
     the columns of the non-edges at v move; the others are filled once.
 
-    A memo for the whole search sits on top.  It keys each matrix by a
-    value that is affine in column v and that fixes R, and only the
-    patterns with a key it misses are evaluated directly, on those keys'
-    solutions.  The key depends on the graph:
-
-    - Edgeless: both determinant layers depend only on the characteristic
-      polynomial (the commutator action is the full second compound),
-      which is fixed by its coefficients e_1..e_n, the sums of the
-      principal minors of M1.  The key is e_1..e_n, one digit each, and a
-      kernel generated once per search (``_charpoly_kernel``) gives it as
-      base + coef . x from the placed columns.  Each solutions object is
-      packed once, one integer per row with a fixed-width slot per
-      solution, so the keys of a pattern are the byte slices of one
-      big-integer product.
-    - More than one degree class: the matrix keeps the degree filtration
-      (``_observe`` checks each leaf with ``_Search.check_structure`` before
-      evaluating it), so M1 is block triangular over the degree classes,
-      and the commutator action is block triangular over the pairs of
-      classes, with its edge lattice spanned by coordinate vectors.  Both
-      determinants are then products over the diagonal blocks A_d of M1
-      (M1 on the rows and columns of class d), and the off-diagonal entries
-      never change R.  The key is the entries of the diagonal blocks, one
-      digit each: every column on the rows of its own class.
-    - One class that meets an edge: no memo.
+    A memo for the whole search sits on top.  It keys each matrix by bytes
+    that fix R and are affine in column v, and only the patterns with a key
+    it misses are evaluated directly, on those keys' solutions.  The matrix
+    keeps the degree filtration (``_observe`` checks each leaf with
+    ``_Search.check_structure``), so M1 is block triangular over the degree
+    classes, with diagonal blocks A_d.  The edge lattice is spanned by
+    coordinate vectors, so 1 - M2 is block triangular over the graded
+    pieces: Lambda^2 A_d modulo the edges inside class d, and A_d (x) A_e
+    modulo the edges between classes d and e.  R is the product of
+    |det(1 - A_d)| and of |det(1 - P)| over the pieces P, whatever the
+    off-diagonal entries.  A class is whole (``_degree_classes``) when each
+    piece it meets is all of its space or zero.  A whole piece has the
+    eigenvalues l_i l_j (i < j) or l_i m_j, from those l of A_d and m of
+    A_e, so det(1 - Lambda^2 A_d) and det(1 - A_d (x) A_e) depend only on
+    the characteristic polynomials; a zero piece contributes 1.  So a whole
+    class enters R only through charpoly(A_d), fixed by e_1..e_|d|, and any
+    other class through the entries of A_d.  The key holds these digits,
+    class by class in degree order (``_charpoly_kernel``); the solutions
+    are packed once per object, so a pattern's keys are the byte slices of
+    one big-integer product.  An edgeless graph is one whole class.  There
+    is no memo without non-edges (N = 0), where R is |d1|, or when one
+    class that is not whole holds every vertex: the key would be M1 itself.
     """
     p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
@@ -652,10 +669,7 @@ def _make_leaf_values(search: _Search):
             cc, cd = cols[c], cols[d]
             for i, a, b in rows_cells:
                 base[i + l] += cd[a] * cc[b] - cd[b] * cc[a]
-        movers = [
-            (cols[u] if plus else tuple(-x for x in cols[u]), cells)
-            for u, plus, cells in moving
-        ]
+        movers = [(cols[u] if plus else tuple(map(neg, cols[u])), cells) for u, plus, cells in moving]
         values = []
         for x, d1 in zip(solutions, d1s):
             if d1 == 0:
@@ -669,48 +683,34 @@ def _make_leaf_values(search: _Search):
             values.append(abs(d1 * d2) if d2 else None)
         return values
 
-    if p.graph.is_edgeless:
-        # Digit k - 1 of a key holds e_k of M1; the kernel is charged like
-        # the Laplace terms of the walk, before it is generated.
-        search._charge(sum(comb(n - 1, k) * comb(n, k) * k for k in range(1, n)))
-        width = _charpoly_width(n, search.bound)
-        kernel = _charpoly_kernel(n, v, width)
-        size, bound = (n * width + 7) // 8, search.bound
-        # Per solutions object: the object, which keeps its id from being
-        # reused, one integer per row r that holds x[r] of every solution x
-        # in size-byte slots, the integer with 1 in every slot and the slot
-        # starts.  Entries are packed offset by B, which is then taken off.
-        packs: dict[int, tuple] = {}
-
-        def leaf_keys(cols, solutions):
-            hit = packs.get(id(solutions))
-            if hit is None:
-                ones, rows = _pack(solutions, range(n), size, bound)
-                hit = packs[id(solutions)] = solutions, rows, ones, range(0, size * len(solutions), size)
-            _, rows, ones, starts = hit
-            base, coef = kernel(cols)
-            # Slot j holds the key of solutions[j], which lies in [0, 2^(8 size)).
-            data = sum(map(mul, coef, rows), base * ones).to_bytes(size * len(solutions), "little")
-            return [data[i : i + size] for i in starts]
-
-    elif len(set(search.degs)) > 1:
-        # Entry (r, u) of a diagonal block, offset by B, is one digit of
-        # base 2B + 1 for each column u and each row r of u's class.
-        degs, digit = search.degs, 2 * search.bound + 1
-        cells = [(u, r) for u in range(n) for r in range(n) if degs[r] == degs[u]]
-        weight = {cell: digit**i for i, cell in enumerate(cells)}
-        offset = search.bound * sum(weight.values())
-        placed_cells = [(u, r, w) for (u, r), w in weight.items() if u != v]
-        coef = [weight.get((v, r), 0) for r in range(n)]
-
-        def leaf_keys(cols, solutions):
-            base = offset + sum(cols[u][r] * w for u, r, w in placed_cells)
-            return [base + sum(map(mul, x, coef)) for x in solutions]
-
-    else:
+    classes = _degree_classes(p.graph)
+    if not N or classes == [(tuple(range(n)), False)]:
         return direct_values
+    # The kernel is charged before it is generated: per whole class of m
+    # rows the Laplace terms of its minors, as in the walk, else m^2 entries.
+    sizes = [(len(rows), whole) for rows, whole in classes]
+    search._charge(sum(sum(comb(m - 1, k) * comb(m, k) * k for k in range(1, m)) if w else m * m for m, w in sizes))
+    width, bound = _charpoly_width(max(m for m, _ in sizes), search.bound), search.bound
+    kernel = _charpoly_kernel(classes, v, width)
+    rows = next(rows for rows, _ in classes if v in rows)
+    size = (sum(m if w else m * m for m, w in sizes) * width + 7) // 8
+    # Per solutions object: the object, which keeps its id from being reused,
+    # its rows of v's class packed in size-byte slots (``_pack``), the
+    # integer with 1 in every slot and the slot starts.
+    packs: dict[int, tuple] = {}
 
-    memo: dict[int | bytes, int | None] = {}
+    def leaf_keys(cols, solutions):
+        hit = packs.get(id(solutions))
+        if hit is None:
+            ones, packed = _pack(solutions, rows, size, bound)
+            hit = packs[id(solutions)] = solutions, packed, ones, range(0, size * len(solutions), size)
+        _, packed, ones, starts = hit
+        base, coef = kernel(cols)
+        # Slot j holds the key of solutions[j], which lies in [0, 2^(8 size)).
+        data = sum(map(mul, coef, packed), base * ones).to_bytes(size * len(solutions), "little")
+        return [data[i : i + size] for i in starts]
+
+    memo: dict[bytes, int | None] = {}
 
     def leaf_values(cols, solutions):
         keys = leaf_keys(cols, solutions)
@@ -1637,13 +1637,13 @@ def _observe(p: Presentation, bound: int, node_budget: int | None) -> dict:
     an error the report raises afterwards does not keep them alive.
 
     With more than one degree class, R depends only on the diagonal blocks
-    of M1 (``_make_leaf_values``), so within a leaf the solutions that agree
-    on the rows of the solved vertex's class have one value under every
-    sign pattern.  Only the first of each such group can be a witness, so
-    the leaf is evaluated on those alone.  The leaves that share a solve
-    (``_Search._unit_solutions``) share one solutions object, so the
-    support union and these first solutions are derived once per object,
-    not once per leaf."""
+    of M1 (``_make_leaf_values``, whose memo key may be coarser), so within
+    a leaf the solutions that agree on the rows of the solved vertex's
+    class have one value under every sign pattern.  Only the first of each
+    such group can be a witness, so the leaf is evaluated on those alone.
+    The leaves that share a solve (``_Search._unit_solutions``) share one
+    solutions object, so the support union and these first solutions are
+    derived once per object, not once per leaf."""
     n = p.n
     search = _Search(p, bound, True, node_budget)
     if n == 0:
@@ -1720,9 +1720,9 @@ def compute_spectrum_report(
     runs at every node of the search, on its placed columns, and a node
     with no pattern left is cut with its subtree.  That leaves the observed
     values and the witnesses unchanged.  Each kept pattern is evaluated
-    against the leaf's solutions, through one memo per report keyed by the
-    characteristic polynomial (edgeless graphs) or by the diagonal blocks
-    of the degree filtration (``_make_leaf_values``).  With more than one
+    against the leaf's solutions, through one memo per report keyed, per
+    degree class, by the characteristic polynomial of its diagonal block
+    or by the block's entries (``_make_leaf_values``).  With more than one
     degree class only the smallest solution of each restriction to the rows
     of the solved vertex's class is evaluated (``_observe``).  The last
     column is solved once per (rows, system, +-g) of the report

@@ -1,6 +1,7 @@
 """The per-leaf evaluation of the bounded search: the leaf stream against
 the matrix stream, the leaf evaluator against ``reidemeister_number``, R
-constant per diagonal-block key over the matrix stream, the recorded
+constant per diagonal-block key and per memo key over the matrix stream,
+the generated key kernel, the recorded
 reports of the evaluation-heavy searches and of six five-vertex classes,
 and the consistency guards of the search."""
 
@@ -33,6 +34,7 @@ from nilgraph.spectra import (
     _column_matrix,
     _charpoly_kernel,
     _charpoly_width,
+    _degree_classes,
     _make_cofactors,
     _make_leaf_values,
     _Search,
@@ -90,8 +92,8 @@ LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + 
     pytest.param(empty_graph(5), 1, 20, False, id="N52"),
 ] + [
     # The kept sign patterns of the first leaves the report evaluates, with
-    # the symmetry group: the characteristic-polynomial key on N42 and N32,
-    # the diagonal-block key on the others.
+    # the symmetry group, through the memo: every class of these graphs is
+    # whole, so each is keyed by its characteristic polynomial.
     pytest.param(CATALOG_BY_KEY[key].graph, bound, 20, True, id=f"{key}-B{bound}-grouped")
     for key, bound in (
         ("N42", 1),
@@ -282,6 +284,39 @@ def test_r_is_constant_per_diagonal_block_key(key, bound):
     assert len(values) > 1
 
 
+# The cases above and P3 beside K2, where no class is whole, with the step
+# m of the matrices checked.
+P3_PLUS_K2 = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2)])
+LEAF_KEY_CASES = BLOCK_CASES + [("P3_plus_K2", 1)]
+LEAF_KEY_STEPS = {**BLOCK_KEY_STEPS, ("P3_plus_K2", 1): 7}
+
+
+@pytest.mark.parametrize("key, bound", LEAF_KEY_CASES, ids=[f"{k}-B{b}" for k, b in LEAF_KEY_CASES])
+def test_r_is_constant_per_leaf_key(key, bound):
+    """Over the matrix stream, R depends only on the memo key of
+    ``_make_leaf_values``: per degree class, the characteristic polynomial
+    of its diagonal block when the class is whole, and the block's entries
+    otherwise.  The key comes from the generated kernel of the report's
+    solved vertex; R is computed as in the test above.  Every m-th matrix
+    of the first 400,000 is checked, with the step m of ``LEAF_KEY_STEPS``."""
+    g = P3_PLUS_K2 if key == "P3_plus_K2" else CATALOG_BY_KEY[key].graph
+    p = Presentation.of(g)
+    n, N, v = g.n, p.N, _search(g, bound).order[-1]
+    classes = _degree_classes(g)
+    kernel = _charpoly_kernel(classes, v, _charpoly_width(max(len(rows) for rows, _ in classes), bound))
+    rows = next(rows for rows, _ in classes if v in rows)
+    eye = IntMatrix.identity(N)
+    values: dict[int, int] = {}
+    for cols in islice(_automorphism_columns(p, bound), 0, 400_000, LEAF_KEY_STEPS[key, bound]):
+        base, coef = kernel(cols)
+        leaf_key = base + sum(c * cols[v][r] for c, r in zip(coef, rows))
+        m1 = [(1 if r == c else 0) - cols[c][r] for r in range(n) for c in range(n)]
+        m2 = eye - induced_commutator_matrix(p, _column_matrix(cols))
+        value = det_flat(m1, n) * det_flat(list(m2.entries), N)
+        assert values.setdefault(leaf_key, value) == value, (leaf_key, cols)
+    assert len(values) > 1
+
+
 @st.composite
 def _bounded_matrices(draw):
     """(bound, columns, placement order) of an n x n matrix, n in 2..5, with
@@ -319,15 +354,19 @@ def test_cofactors_give_det_one_minus_m(drawn):
 
 @st.composite
 def _kernel_matrices(draw):
-    """(bound, columns, placement order) of an n x n matrix, n in 1..5, with
-    entries in [-bound, bound], the bound small or up to 10^6; half the
-    draws put +-bound in every entry."""
+    """(bound, columns, placement order, classes) of an n x n matrix, n in
+    1..5, with entries in [-bound, bound], the bound small or up to 10^6,
+    half the draws with +-bound in every entry; the classes partition the
+    vertices, each as (ascending rows, whole), in a drawn order."""
     n = draw(st.integers(1, 5))
     bound = draw(st.one_of(st.integers(1, 3), st.integers(4, 10**6)))
     corner = draw(st.booleans())
     entry = st.sampled_from((-bound, bound)) if corner else st.integers(-bound, bound)
     cols = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
-    return bound, cols, draw(st.permutations(range(n)))
+    labels = [draw(st.integers(0, n - 1)) for _ in range(n)]
+    classes = [tuple(r for r in range(n) if labels[r] == c) for c in draw(st.permutations(range(n)))]
+    classes = [(rows, draw(st.booleans())) for rows in classes if rows]
+    return bound, cols, draw(st.permutations(range(n))), classes
 
 
 # The names the generated kernel may hold besides matrix entries m<r>_<c>
@@ -337,22 +376,29 @@ KERNEL_NAMES = {"def", "kernel", "cols", "return"}
 
 @given(_kernel_matrices())
 def test_charpoly_kernel_gives_the_principal_minor_sums(drawn):
-    """The key base + coef . x of the generated kernel holds, in digit
-    k - 1, e_k (the sum of the principal k x k minors, by det_flat) offset
-    by half a digit, with |e_k| below half a digit.  Its source holds only
-    integer literals, operators and names built from vertex numbers."""
-    bound, cols, order = drawn
-    n, v = len(cols), order[-1]
-    width = _charpoly_width(n, bound)
-    kernel = _charpoly_kernel(n, v, width)
+    """The key base + coef . x of the generated kernel holds, class by
+    class, e_1..e_m of the class's diagonal block (the sums of its principal
+    k x k minors, by det_flat) when the class is whole, and the block's
+    entries, column by column, otherwise; each digit offset by half a digit,
+    with its value below half a digit.  Its source holds only integer
+    literals, operators and names built from vertex numbers."""
+    bound, cols, order, classes = drawn
+    v = order[-1]
+    width = _charpoly_width(max(len(rows) for rows, _ in classes), bound)
+    kernel = _charpoly_kernel(classes, v, width)
     placed = cols[:]
     placed[v] = None
     base, coef = kernel(placed)
-    key = base + sum(map(mul, coef, cols[v]))
+    rows_v = next(rows for rows, _ in classes if v in rows)
+    assert len(coef) == len(rows_v)
+    key = base + sum(c * cols[v][r] for c, r in zip(coef, rows_v))
+    want = []
+    for rows, whole in classes:
+        block = [tuple(cols[c][r] for r in rows) for c in rows]
+        want += _principal_sums(block) if whole else [x for col in block for x in col]
     half = 1 << (width - 1)
-    want = _principal_sums(cols)
-    assert [(key >> (width * i)) % (2 * half) - half for i in range(n)] == want
-    assert 0 <= key < 1 << (n * width)
+    assert [(key >> (width * i)) % (2 * half) - half for i in range(len(want))] == want
+    assert 0 <= key < 1 << (len(want) * width)
     assert all(abs(e) < half for e in want)
     for token in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
         if token.type == tokenize.NAME:
