@@ -1086,7 +1086,8 @@ class _Search:
     last column that is the first to ask for the support pool of its rows
     and dimension builds it uncharged: over every graph on at most 5
     vertices at B <= 2, the largest such pool holds 1,425 candidates,
-    against a leaf charge of 1,250.  The
+    against a leaf charge of 1,250.  It is counted first, and raises when
+    the count exceeds the units left (``_unit_solutions``).  The
     minors are charged too: C(n, k) per candidate for k placed columns, and
     C(n, k) k before the expansion terms for k columns are built.
     ``_make_leaf_values`` evaluates leaves, and ``check_structure`` checks
@@ -1217,11 +1218,15 @@ class _Search:
         size = self._pool_sizes.get(k)
         if size is None:
             b = self.bound
-            if self._mu is None:
-                self._mu = [_mobius(d) for d in range(1, b + 1)]
-            size = sum(m * ((2 * (b // d) + 1) ** k - 1) for d, m in enumerate(self._mu, 1)) // 2
+            size = sum(m * ((2 * (b // d) + 1) ** k - 1) for d, m in enumerate(self._mus(), 1)) // 2
             self._pool_sizes[k] = size
         return size
+
+    def _mus(self) -> list[int]:
+        """mu(d) for d = 1..bound, computed once per search."""
+        if self._mu is None:
+            self._mu = [_mobius(d) for d in range(1, self.bound + 1)]
+        return self._mu
 
     def _charge_pool(self, k: int) -> None:
         """Charge the size of the unconstrained pool on k rows, computed
@@ -1304,21 +1309,38 @@ class _Search:
         n, bound = self.n, self.bound
         positive = range(1, bound + 1)
         signed = [*range(-bound, 0), *positive]
-        full = sum(1 << r for r in rows)
         out = []
-        support = full
-        while support:
-            if self._support_dim(support) == dim:
-                # A candidate is a 0 for the rows off S, then the entries on S.
-                take = [0] * n
-                for i, r in enumerate(r for r in range(n) if support >> r & 1):
-                    take[r] = i + 1
-                pick = _picker(take)
-                spans = [signed] * (support.bit_count() - 1)
-                out += [pick(vals) for vals in product((0,), positive, *spans) if gcd(*vals) == 1]
-            support = (support - 1) & full
+        for support in self._supports(rows, dim):
+            # A candidate is a 0 for the rows off S, then the entries on S.
+            take = [0] * n
+            for i, r in enumerate(r for r in range(n) if support >> r & 1):
+                take[r] = i + 1
+            pick = _picker(take)
+            spans = [signed] * (support.bit_count() - 1)
+            out += [pick(vals) for vals in product((0,), positive, *spans) if gcd(*vals) == 1]
         out.sort()
         return out
+
+    def _supports(self, rows: tuple[int, ...], dim: int):
+        """Yield the supports within ``rows`` (nonempty row bitmasks) whose
+        columns' relation space has dimension ``dim`` (``_support_dim``)."""
+        full = support = sum(1 << r for r in rows)
+        while support:
+            if self._support_dim(support) == dim:
+                yield support
+            support = (support - 1) & full
+
+    def _support_pool_size(self, rows: tuple[int, ...], dim: int) -> int:
+        """The size of ``_support_pool(rows, dim)``, without building it:
+        per support S of that dimension, the primitive vectors with support
+        exactly S up to sign, by Moebius inversion over the gcd d of the
+        entries, sum_d mu(d) (2 floor(B/d))^|S| / 2.  A support of one row
+        holds only +-1, so mu is not computed for it."""
+        b, sizes = self.bound, Counter(support.bit_count() for support in self._supports(rows, dim))
+        return sum(
+            count * (1 if s == 1 else sum(m * (2 * (b // d)) ** s for d, m in enumerate(self._mus(), 1)) // 2)
+            for s, count in sizes.items()
+        )
 
     def _support_dim(self, support: int) -> int:
         """The dimension of the relation space of the columns whose support
@@ -1353,15 +1375,21 @@ class _Search:
         of the rows, the system and the solved vertex's relation dimension
         (``_pool``), which every column of that vertex in the search set
         has, so no solution is lost.  The last column can be the first to
-        build that pool, and is charged for its solve, not for the pool
-        (see ``_Search``).  The pool is packed once (``_pack``, see
-        ``_packed_solutions``), and the solutions of each +-g are kept with
-        the packing: g.x = +-1 does not change under g -> -g, so g is keyed
-        with its first nonzero entry positive."""
-        key = rows, system
+        build the support pool of its rows and dimension.  It is charged for
+        its solve, not for that pool (see ``_Search``), but under a finite
+        budget the pool is first counted (``_support_pool_size``), and a
+        count above the units left raises before it is built.  The pool is
+        packed once (``_pack``, see ``_packed_solutions``), and the
+        solutions of each +-g are kept with the packing: g.x = +-1 does not
+        change under g -> -g, so g is keyed with its first nonzero entry
+        positive."""
+        key, dim = (rows, system), self.relation_dims[self.order[-1]]
         packed = self._packed.get(key)
         if packed is None:
-            pool = self._pool(rows, system, self.relation_dims[self.order[-1]])
+            fresh = dim is not None and self.left is not None and (rows, (), dim) not in self._pools
+            if fresh and self._support_pool_size(rows, dim) > self.left:
+                raise SearchBudgetExceeded("search node budget exhausted")
+            pool = self._pool(rows, system, dim)
             size = (_det_width(self.n, self.bound) + 7) // 8
             half = 1 << (8 * size - 1)
             ones, coords = _pack(pool, rows, size, half)

@@ -392,6 +392,20 @@ class TestSearch:
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
 
+    def test_budget_counts_a_last_column_pool_before_building_it(self, write):
+        """A last column that is the first to ask for the support pool of its
+        rows and dimension counts the pool before building it, and exits 5
+        when the count exceeds the units left.  On paw at ``--bound 60``
+        the first leaf is reached with about 8.8e7 of 1e8 units left, and
+        its pool would hold 1.06e8 vectors: with the address space capped
+        at 2 GB, that pool ended in a MemoryError after about 5 s."""
+        paw = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2]]}
+        t0 = perf_counter()
+        done = capped_main(["search", write("g.json", paw), "--bound", "60", "--budget", "100000000"], 2)
+        assert perf_counter() - t0 < 5
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
     def test_huge_bound_exit_5(self, write):
         """The pool size the budget charges is computed only when charged,
         and not at all when its lower bound already exceeds the units left:

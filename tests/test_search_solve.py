@@ -580,6 +580,19 @@ def test_pool_size_formula_matches_the_pool():
                 assert search._pool_size(k) == len(search._pool(rows, frozenset())), (n, bound, k)
 
 
+def test_support_pool_count_matches_the_pool():
+    """The count a last column compares with the budget before building
+    its support pool is the size of that pool: for every catalog graph,
+    bound <= 3, the filtration rows of each vertex and every dimension."""
+    for e in CATALOG:
+        for bound in range(1, 4):
+            search = _Search(Presentation.of(e.graph), bound, True, None)
+            for rows in set(search.filtration_rows):
+                for dim in range(1, e.graph.n + 1):
+                    want = len(search._support_pool(rows, dim))
+                    assert search._support_pool_size(rows, dim) == want, (e.key, bound, rows, dim)
+
+
 def _rank_reference(rows, ncols):
     """The elimination loop ``rank`` ran before it shared ``echelon``."""
     a = [list(r) for r in rows]
