@@ -1,9 +1,9 @@
 """The per-leaf evaluation of the bounded search: the leaf stream against
 the matrix stream, the leaf evaluator against ``reidemeister_number``, R
 constant per diagonal-block key and per memo key over the matrix stream,
-the generated key kernel, the recorded
-reports of the evaluation-heavy searches and of six five-vertex classes,
-and the consistency guards of the search."""
+the generated key kernel, the recorded reports of the evaluation-heavy
+searches and of six five-vertex classes, and the consistency guards of
+the search."""
 
 import ast
 import gc
@@ -236,10 +236,15 @@ def test_equivalent_systems_share_one_pool(monkeypatch):
     assert sum(len(packed[-1]) for packed in search._packed.values()) == 16
 
 
-# Every catalog class with more than one degree class at bound 1, and
-# P3_plus_point at bound 2, with the step m of the keys checked: a prime
-# that leaves a few thousand matrices of the stream.
-BLOCK_CASES = [(e.key, 1) for e in CATALOG if len(set(e.graph.degrees())) > 1] + [("P3_plus_point", 2)]
+# Every catalog class with more than one degree class at bound 1,
+# P3_plus_point at bound 2, and P3 beside K2, where no class is whole, with
+# the step m of the keys checked: a prime that leaves a few thousand
+# matrices of the stream.
+P3_PLUS_K2 = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2)])
+BLOCK_CASES = [(e.key, 1) for e in CATALOG if len(set(e.graph.degrees())) > 1] + [
+    ("P3_plus_point", 2),
+    ("P3_plus_K2", 1),
+]
 BLOCK_KEY_STEPS = {
     ("K2_plus_point", 1): 1,
     ("P3", 1): 1,
@@ -251,28 +256,38 @@ BLOCK_KEY_STEPS = {
     ("paw", 1): 13,
     ("diamond", 1): 41,
     ("P3_plus_point", 2): 101,
+    ("P3_plus_K2", 1): 7,
 }
 
 
 @pytest.mark.parametrize("key, bound", BLOCK_CASES, ids=[f"{k}-B{b}" for k, b in BLOCK_CASES])
 def test_r_is_constant_per_diagonal_block_key(key, bound):
     """Over the matrix stream, R depends only on the diagonal blocks of the
-    degree filtration: each column on the rows of its own degree class.
+    degree filtration: each column on the rows of its own degree class.  It
+    depends only on the memo key of ``_make_leaf_values`` too, from the
+    generated kernel of the report's solved vertex: per degree class, the
+    characteristic polynomial of its block when the class is whole, and the
+    block's entries otherwise.
     R is computed here without the leaf evaluator, from det_flat of 1 - M1
     and of 1 - M2 (``induced_commutator_matrix``).  The stream is
-    subsampled by key: the distinct keys are numbered in the order the
-    stream meets them, and every matrix of each m-th key is checked, with
-    the step m of ``BLOCK_KEY_STEPS``.  Only the first 400,000 matrices are
-    read: all of every stream but that of P3_plus_point at bound 2, whose
-    first 400,000 of 1,300,000 matrices hold 321 of its 416 keys."""
-    g = CATALOG_BY_KEY[key].graph
+    subsampled by block key: the distinct block keys are numbered in the
+    order the stream meets them, and every matrix of each m-th key is
+    checked, with the step m of ``BLOCK_KEY_STEPS``.  Only the first
+    400,000 matrices are read: all of every stream but that of
+    P3_plus_point at bound 2, whose first 400,000 of 1,300,000 matrices
+    hold 321 of its 416 keys."""
+    g = P3_PLUS_K2 if key == "P3_plus_K2" else CATALOG_BY_KEY[key].graph
     p = Presentation.of(g)
-    n, N, degs = g.n, p.N, g.degrees()
+    n, N, degs, v = g.n, p.N, g.degrees(), _search(g, bound).order[-1]
     blocks = [itemgetter(*(r for r in range(n) if degs[r] == degs[u])) for u in range(n)]
+    classes = _degree_classes(g)
+    kernel = _charpoly_kernel(classes, v, _charpoly_width(max(len(rows) for rows, _ in classes), bound))
+    rows = next(rows for rows, _ in classes if v in rows)
     step = BLOCK_KEY_STEPS[key, bound]
     eye = IntMatrix.identity(N)
     numbers: dict[tuple, int] = {}
     values: dict[tuple, int] = {}
+    memo_values: dict[int, int] = {}
     for cols in islice(_automorphism_columns(p, bound), 400_000):
         blocks_key = tuple(map(call, blocks, cols))
         if numbers.setdefault(blocks_key, len(numbers)) % step:
@@ -281,39 +296,9 @@ def test_r_is_constant_per_diagonal_block_key(key, bound):
         m2 = eye - induced_commutator_matrix(p, _column_matrix(cols))
         value = det_flat(m1, n) * det_flat(list(m2.entries), N)
         assert values.setdefault(blocks_key, value) == value, (blocks_key, cols)
-    assert len(values) > 1
-
-
-# The cases above and P3 beside K2, where no class is whole, with the step
-# m of the matrices checked.
-P3_PLUS_K2 = Graph.from_edges(5, [(0, 3), (0, 4), (1, 2)])
-LEAF_KEY_CASES = BLOCK_CASES + [("P3_plus_K2", 1)]
-LEAF_KEY_STEPS = {**BLOCK_KEY_STEPS, ("P3_plus_K2", 1): 7}
-
-
-@pytest.mark.parametrize("key, bound", LEAF_KEY_CASES, ids=[f"{k}-B{b}" for k, b in LEAF_KEY_CASES])
-def test_r_is_constant_per_leaf_key(key, bound):
-    """Over the matrix stream, R depends only on the memo key of
-    ``_make_leaf_values``: per degree class, the characteristic polynomial
-    of its diagonal block when the class is whole, and the block's entries
-    otherwise.  The key comes from the generated kernel of the report's
-    solved vertex; R is computed as in the test above.  Every m-th matrix
-    of the first 400,000 is checked, with the step m of ``LEAF_KEY_STEPS``."""
-    g = P3_PLUS_K2 if key == "P3_plus_K2" else CATALOG_BY_KEY[key].graph
-    p = Presentation.of(g)
-    n, N, v = g.n, p.N, _search(g, bound).order[-1]
-    classes = _degree_classes(g)
-    kernel = _charpoly_kernel(classes, v, _charpoly_width(max(len(rows) for rows, _ in classes), bound))
-    rows = next(rows for rows, _ in classes if v in rows)
-    eye = IntMatrix.identity(N)
-    values: dict[int, int] = {}
-    for cols in islice(_automorphism_columns(p, bound), 0, 400_000, LEAF_KEY_STEPS[key, bound]):
         base, coef = kernel(cols)
-        leaf_key = base + sum(c * cols[v][r] for c, r in zip(coef, rows))
-        m1 = [(1 if r == c else 0) - cols[c][r] for r in range(n) for c in range(n)]
-        m2 = eye - induced_commutator_matrix(p, _column_matrix(cols))
-        value = det_flat(m1, n) * det_flat(list(m2.entries), N)
-        assert values.setdefault(leaf_key, value) == value, (leaf_key, cols)
+        memo_key = base + sum(c * cols[v][r] for c, r in zip(coef, rows))
+        assert memo_values.setdefault(memo_key, value) == value, (memo_key, cols)
     assert len(values) > 1
 
 
