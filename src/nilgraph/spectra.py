@@ -123,12 +123,6 @@ def _prime_factors(v: int) -> dict[int, int]:
     return out
 
 
-def _mobius(d: int) -> int:
-    """The Moebius function of d >= 1."""
-    exponents = _prime_factors(d).values()
-    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
-
-
 def _divisors(v: int) -> list[int]:
     """The positive divisors of v >= 1, ascending."""
     divs = [1]
@@ -724,16 +718,6 @@ def _make_leaf_values(search: _Search):
     return leaf_values
 
 
-def _canonical(vectors) -> list[tuple[int, ...]]:
-    """The nonzero primitive vectors in the list ``vectors`` (tuples of one
-    length) whose first nonzero entry is positive, sorted: the primitive
-    ones above the zero tuple in tuple order."""
-    zero = (0,) * len(vectors[0]) if vectors else ()
-    out = [x for x in vectors if x > zero and gcd(*x) == 1]
-    out.sort()
-    return out
-
-
 def _picker(indices):
     """The getter x -> (x[indices[0]], x[indices[1]], ...), a tuple even for
     one index (``itemgetter`` of one index returns the item itself)."""
@@ -977,43 +961,6 @@ def _canonical_system(system) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, a))
 
 
-def _box_solutions(system, rows, n: int, bound: int) -> list[tuple[int, ...]]:
-    """Every length-n column x supported on ``rows`` with entries in
-    [-bound, bound] that solves the homogeneous ``system`` (its rows,
-    overwritten, hold coefficients on ``rows``; each row . x = 0).  The
-    system is brought to echelon form; only its free coordinates are
-    enumerated, and each pivot coordinate follows by exact division, bottom
-    row first."""
-    k = len(rows)
-    pivots = echelon(system, k)
-    # A candidate is the tuple of a 0 that the rows off ``rows`` read, its
-    # free coordinates, then the pivot coordinates as solved.  Each step's
-    # coefficients line up with that tuple, negated, so their dot product
-    # with it is d times the step's pivot coordinate.
-    order = [j for j in range(k) if j not in pivots]
-    nfree = len(order)
-    steps = []
-    for i in reversed(range(len(pivots))):
-        row = system[i]
-        steps.append((row[pivots[i]], [0] + [-row[j] for j in order]))
-        order.append(pivots[i])
-    take = [0] * n
-    for i, j in enumerate(order, 1):
-        take[rows[j]] = i
-    pick = _picker(take)
-    span = range(-bound, bound + 1)
-    out = []
-    for vals in product((0,), *[span] * nfree):
-        for d, coeffs in steps:
-            q, rem = divmod(sum(map(mul, coeffs, vals)), d)
-            if rem or not -bound <= q <= bound:
-                break
-            vals += (q,)
-        else:
-            out.append(pick(vals))
-    return out
-
-
 def _pack(vectors, rows, size: int, shift: int) -> tuple[int, list[int]]:
     """The entries of ``vectors`` packed into big integers, one per row r
     of ``rows``: the size-byte slot j holds x[r] of x = vectors[j], so the
@@ -1066,7 +1013,8 @@ class _Search:
     (``_pool``).  Every column's pool, the last one's too, holds only the
     candidates of its relation dimension (see the centralizer dimension
     below), built from the supports of that dimension and filtered by the
-    system.  The last column's pool is then filtered by the determinant
+    system; the unpruned reference builds its pools from every support.
+    The last column's pool is then filtered by the determinant
     condition g.x = +-1 (``_solve_last``), and that solve too is kept per
     search, by (rows, form, +-g), so the leaves that meet one key share one
     tuple of solutions (``_unit_solutions``).
@@ -1078,18 +1026,18 @@ class _Search:
     are a list indexed by the rank of their row set in ``combinations``
     order, each a Laplace expansion along the new column over terms built
     when the walk first reaches that depth (``_extend_minors``).
-    The node budget (None for none) is charged through ``_charge``: the
-    size of the unconstrained pool per placed column on k rows, before any
-    pool or term is built (computed only under a finite budget, see
-    ``_charge_pool``), and 2 (2B+1)^(k-1) per last column on k rows,
-    whatever the solve enumerates and whether it was solved before.  So a
-    last column that is the first to ask for the support pool of its rows
-    and dimension builds it uncharged: over every graph on at most 5
-    vertices at B <= 2, the largest such pool holds 1,425 candidates,
+    The node budget (None for none) is charged through ``_charge``: the size
+    of the unconstrained pool per placed column on k rows, before any pool
+    or term is built (counted from one count per support size, only under a
+    finite budget, see ``_charge_pool``), and 2 (2B+1)^(k-1) per last column
+    on k rows, whatever the solve enumerates and whether it was solved
+    before.  So a last column that is the first to ask for the support pool
+    of its rows and dimension builds it uncharged: over every graph on at
+    most 5 vertices at B <= 2, the largest such pool holds 1,425 candidates,
     against a leaf charge of 1,250.  It is counted first, and raises when
-    the count exceeds the units left (``_unit_solutions``).  The
-    minors are charged too: C(n, k) per candidate for k placed columns, and
-    C(n, k) k before the expansion terms for k columns are built.
+    the count exceeds the units left (``_unit_solutions``).  The minors are
+    charged too: C(n, k) per candidate for k placed columns, and C(n, k) k
+    before the expansion terms for k columns are built.
     ``_make_leaf_values`` evaluates leaves, and ``check_structure`` checks
     that they keep the degree filtration and the components.
 
@@ -1168,10 +1116,9 @@ class _Search:
         # g.x, with the solutions per +-g (see ``_unit_solutions``).
         self._pools: dict[tuple, list[tuple[int, ...]]] = {}
         self._packed: dict[tuple, tuple] = {}
-        # Per number of rows k: the size of the unconstrained pool on k rows
-        # (``_pool_size``); and mu(d) for d = 1..bound, shared by every k.
-        self._pool_sizes: dict[int, int] = {}
-        self._mu: list[int] | None = None
+        # Per support size s: its primitive vectors up to sign
+        # (``_support_count``), from which every pool size is counted.
+        self._counts: dict[int, int] = {}
         # Per number k of placed columns: the Laplace expansion along the new
         # column of each k x k minor, filed by the minor of the other k - 1
         # rows: per rank of a (k-1)-set of rows, the terms (row r added,
@@ -1211,37 +1158,54 @@ class _Search:
             if self.left < 0:
                 raise SearchBudgetExceeded("search node budget exhausted")
 
-    def _pool_size(self, k: int) -> int:
-        """The size of the unconstrained pool on k rows: the nonzero
-        primitive vectors of the box up to sign, by Moebius inversion over
-        the gcd d of the entries, memoized per k."""
-        size = self._pool_sizes.get(k)
-        if size is None:
-            b = self.bound
-            size = sum(m * ((2 * (b // d) + 1) ** k - 1) for d, m in enumerate(self._mus(), 1)) // 2
-            self._pool_sizes[k] = size
-        return size
+    def _support_count(self, s: int) -> int:
+        """The primitive vectors with support exactly s given rows and
+        entries in +-1..+-B, up to sign, memoized per s.  A support of one
+        row holds only +-1.  Otherwise each of the (2b)^s vectors with
+        entries in +-1..+-b is d times a primitive one with entries in
+        +-1..+-floor(b/d), d its gcd, so their count P(b) up to sign is
+        (2b)^s / 2 - sum over d >= 2 of P(floor(b/d)).  Every floor(b/d)
+        is some floor(B/m), so P is computed on those values, ascending,
+        and each sum is taken once per distinct quotient: O(B^(3/4)) steps."""
+        count = self._counts.get(s)
+        if count is None:
+            count = 1
+            if s > 1:
+                b, values, m = self.bound, [], 1
+                while m <= b:
+                    values.append(b // m)
+                    m = b // values[-1] + 1
+                counts: dict[int, int] = {}
+                for v in reversed(values):
+                    p, d = (2 * v) ** s // 2, 2
+                    while d <= v:
+                        q = v // d
+                        top = v // q
+                        p -= (top - d + 1) * counts[q]
+                        d = top + 1
+                    counts[v] = p
+                count = counts[b]
+            self._counts[s] = count
+        return count
 
-    def _mus(self) -> list[int]:
-        """mu(d) for d = 1..bound, computed once per search."""
-        if self._mu is None:
-            self._mu = [_mobius(d) for d in range(1, self.bound + 1)]
-        return self._mu
+    def _pool_size(self, k: int) -> int:
+        """The size of the unconstrained pool on k rows: C(k, s) supports
+        of each size s, each holding ``_support_count(s)`` vectors."""
+        return sum(comb(k, s) * self._support_count(s) for s in range(1, k + 1))
 
     def _charge_pool(self, k: int) -> None:
         """Charge the size of the unconstrained pool on k rows, computed
-        only under a finite budget.  Before a size is first computed, its
-        lower bound ((2B+1)^k - (2B-1)^k) / 2 is compared with the units
-        left: it counts the vectors with an entry +-1, all primitive, up to
-        sign.  A larger bound is charged instead, and raises at the node
-        where the size would have raised."""
+        only under a finite budget.  Its lower bound
+        ((2B+1)^k - (2B-1)^k) / 2, the vectors with an entry +-1, all
+        primitive, up to sign, is compared with the units left first: a
+        larger bound is charged instead, and raises at the node where the
+        size would have raised, before the size is counted."""
         if self.left is None:
             return
-        if k not in self._pool_sizes:
-            b = self.bound
-            low = ((2 * b + 1) ** k - (2 * b - 1) ** k) // 2
-            if low > self.left:
-                self._charge(low)
+        b = self.bound
+        low = ((2 * b + 1) ** k - (2 * b - 1) ** k) // 2
+        if low > self.left:
+            self._charge(low)
         self._charge(self._pool_size(k))
 
     def check_structure(self, cols) -> None:
@@ -1276,19 +1240,16 @@ class _Search:
         canonical form of ``_relation_system``), built once per (rows,
         system, dim) and reused whenever the same key comes back.
 
-        Without ``dim``, for the unpruned reference, the pool is solved
-        from the box (``_box_solutions``).  With it, only the candidates
-        whose relation space has dimension ``dim`` are kept, and they are
-        not solved from the box: the pool of the empty system is built from
-        the supports of that dimension (``_support_pool``), and the pool of
-        any other system is that one filtered by the system's rows.  A last
-        column can be the first to build a pool (see ``_Search``)."""
+        The pool of the empty system is built from the supports whose
+        relation space has dimension ``dim``, or from every support
+        without ``dim``, for the unpruned reference (``_support_pool``).
+        The pool of any other system is that one filtered by the system's
+        rows.  A last column can be the first to build a pool (see
+        ``_Search``)."""
         key = rows, system, dim
         pool = self._pools.get(key)
         if pool is None:
-            if dim is None:
-                pool = _canonical(_box_solutions([list(row) for row in system], rows, self.n, self.bound))
-            elif system:
+            if system:
                 pick = _picker(rows)
                 pool = [
                     x
@@ -1300,12 +1261,13 @@ class _Search:
             self._pools[key] = pool
         return pool
 
-    def _support_pool(self, rows: tuple[int, ...], dim: int) -> list[tuple]:
+    def _support_pool(self, rows: tuple[int, ...], dim: int | None) -> list[tuple]:
         """The canonical columns on ``rows`` of the box whose relation space
-        has dimension ``dim``, sorted.  The dimension depends only on the
-        support (``_support_dim``), so each support S of that dimension
-        gives every primitive vector with support exactly S: entries in
-        +-1..+-B on S, the first one positive."""
+        has dimension ``dim`` (any dimension for None), sorted: the nonzero
+        primitive ones whose first nonzero entry is positive.  The dimension
+        depends only on the support (``_support_dim``), so each support S
+        of that dimension gives every primitive vector with support exactly
+        S: entries in +-1..+-B on S, the first one positive."""
         n, bound = self.n, self.bound
         positive = range(1, bound + 1)
         signed = [*range(-bound, 0), *positive]
@@ -1321,26 +1283,20 @@ class _Search:
         out.sort()
         return out
 
-    def _supports(self, rows: tuple[int, ...], dim: int):
+    def _supports(self, rows: tuple[int, ...], dim: int | None):
         """Yield the supports within ``rows`` (nonempty row bitmasks) whose
-        columns' relation space has dimension ``dim`` (``_support_dim``)."""
+        columns' relation space has dimension ``dim`` (``_support_dim``),
+        or every one for None."""
         full = support = sum(1 << r for r in rows)
         while support:
-            if self._support_dim(support) == dim:
+            if dim is None or self._support_dim(support) == dim:
                 yield support
             support = (support - 1) & full
 
     def _support_pool_size(self, rows: tuple[int, ...], dim: int) -> int:
         """The size of ``_support_pool(rows, dim)``, without building it:
-        per support S of that dimension, the primitive vectors with support
-        exactly S up to sign, by Moebius inversion over the gcd d of the
-        entries, sum_d mu(d) (2 floor(B/d))^|S| / 2.  A support of one row
-        holds only +-1, so mu is not computed for it."""
-        b, sizes = self.bound, Counter(support.bit_count() for support in self._supports(rows, dim))
-        return sum(
-            count * (1 if s == 1 else sum(m * (2 * (b // d)) ** s for d, m in enumerate(self._mus(), 1)) // 2)
-            for s, count in sizes.items()
-        )
+        ``_support_count(|S|)`` per support S of that dimension."""
+        return sum(self._support_count(support.bit_count()) for support in self._supports(rows, dim))
 
     def _support_dim(self, support: int) -> int:
         """The dimension of the relation space of the columns whose support
@@ -1376,8 +1332,9 @@ class _Search:
         (``_pool``), which every column of that vertex in the search set
         has, so no solution is lost.  The last column can be the first to
         build the support pool of its rows and dimension.  It is charged for
-        its solve, not for that pool (see ``_Search``), but under a finite
-        budget the pool is first counted (``_support_pool_size``), and a
+        its solve, not for that pool (see ``_Search``), but in a pruned
+        search under a finite budget the pool is first counted
+        (``_support_pool_size``, from one count per support size), and a
         count above the units left raises before it is built.  The pool is
         packed once (``_pack``, see ``_packed_solutions``), and the
         solutions of each +-g are kept with the packing: g.x = +-1 does not

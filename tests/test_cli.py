@@ -55,8 +55,9 @@ def parse_error(capsys, *argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def capped_main(argv, gigabytes: int):
-    """``main(argv)`` in a child process whose address space is capped."""
+def capped_main(argv, gigabytes: int, timeout: float = 60):
+    """``main(argv)`` in a child process whose address space is capped,
+    killed after ``timeout`` seconds (``subprocess.TimeoutExpired``)."""
     cap = gigabytes << 30
     code = (
         "import resource, sys\n"
@@ -66,7 +67,7 @@ def capped_main(argv, gigabytes: int):
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def usage_error(capsys, *argv):
@@ -413,6 +414,19 @@ class TestSearch:
         t0 = perf_counter()
         done = capped_main(["search", write("g.json", K2), "--bound", "10000000", "--budget", "10"], 2)
         assert perf_counter() - t0 < 2
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
+    def test_large_bound_counts_the_pool_without_mu(self, write):
+        """The pool size the budget charges is counted per support size in
+        O(B^(3/4)) steps, not from mu(d) for every d <= B: K2 at ``--bound
+        10000000`` with ``--budget 1000000000``, whose pool size (about
+        1.2e14) exceeds the budget while its lower bound 4e7 does not,
+        exits 5 at once.  With mu by trial factoring it ran past 60 s."""
+        t0 = perf_counter()
+        argv = ["search", write("g.json", K2), "--bound", "10000000", "--budget", "1000000000"]
+        done = capped_main(argv, 2, timeout=5)
+        assert perf_counter() - t0 < 5
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
 

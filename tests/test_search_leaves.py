@@ -203,36 +203,30 @@ def test_last_columns_share_one_solve_per_key(monkeypatch):
     assert sum(map(len, received.values())) == 274
 
 
-def test_equivalent_systems_share_one_pool(monkeypatch):
+def test_equivalent_systems_share_one_pool():
     """The report walk of C4 at bound 2 keys its pools by the canonical form
     of each relation system and the relation dimension, so the systems with
     one row space share one pool, and each (rows, system, dim) pool is built
-    once: 33 distinct sets of relation rows, 2 packed last-column pools,
-    no box solve (every pool, the last columns' too, is built from the
-    supports of its dimension), and 16 distinct last-column solves.  When
+    once: 33 distinct sets of relation rows, 2 packed last-column pools
+    (every pool, the last columns' too, is built from the supports of its
+    dimension), and 16 distinct last-column solves.  When
     only the last columns solved their pools from the box there were 2 box
     solves, and 19 when the placed columns' pools were solved from the box
     and then filtered; before the relation-dimension test cut the walk
     these were 81, 18 and 32 (and 756, 608 and 687 when every distinct set
     of relation rows had its own)."""
     g = cycle_graph(4)
-    box_solutions, solved = spectra._box_solutions, []
-
-    def counting(*args):
-        solved.append(args)
-        return box_solutions(*args)
 
     class BuiltOnce(dict):
         def __setitem__(self, key, pool):
             assert key not in self, key
             super().__setitem__(key, pool)
 
-    monkeypatch.setattr(spectra, "_box_solutions", counting)
     search = _search(g, 2)
     search._pools = BuiltOnce()
     for _ in search.leaves(_SignedGroup(g)):
         pass
-    assert len(solved) == 0 < len(search._packed) == 2 <= 19 < len(search._systems) == 33
+    assert len(search._packed) == 2 <= 19 < len(search._systems) == 33
     assert sum(len(packed[-1]) for packed in search._packed.values()) == 16
 
 

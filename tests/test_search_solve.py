@@ -1,10 +1,11 @@
 """The exact solve of the search's linear constraints: the column stream of
-the bounded search against a recorded golden, the homogeneous solve and the
-packed last-column filter and its memo against brute-force scans of the
-box, the canonical form of equivalent column systems, the reused column
-systems against fresh solves, the relation dimension of a column against
-elimination and on every column of a few streams, the ranked minors
-against determinants, the budget of whole walks and of one pool, and
+the bounded search against a recorded golden, the pools of homogeneous
+systems and the packed last-column filter and its memo against
+brute-force scans of the box, the canonical form of equivalent column
+systems, the reused column systems against fresh scans, the relation
+dimension of a column against elimination and on every column of a few
+streams, the ranked minors against determinants, the budget of whole
+walks and of one pool, the pool counts against Moebius sums, and
 ``rank`` through the shared elimination.
 
 Run ``python tests/test_search_solve.py`` to rewrite the golden file."""
@@ -20,15 +21,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nilgraph.spectra as spectra
 from nilgraph.catalog import CATALOG
 from nilgraph.exactlin import IntMatrix, det_flat, echelon, rank, smith_normal_form
 from nilgraph.graphs import Graph, cycle_graph, path_graph
 from nilgraph.nilgroup import Presentation
 from nilgraph.spectra import (
     _automorphism_columns,
-    _box_solutions,
-    _canonical,
     _canonical_system,
     _packed_solutions,
     _Search,
@@ -188,14 +186,34 @@ def _box(n, bound, rows):
         yield tuple(vec)
 
 
-@given(_systems())
-def test_box_solutions_match_a_scan_of_the_box(case):
-    """The echelon solve of a homogeneous system finds exactly the columns
-    of the box that a scan finds."""
-    n, bound, rows, relations = case
-    got = sorted(_box_solutions([row[:] for row in relations], rows, n, bound))
-    want = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in relations)]
-    assert got == want
+def _fresh_pool(system, rows, n, bound):
+    """The canonical columns of the box on ``rows`` that solve ``system``,
+    by a scan: the nonzero primitive ones whose first nonzero entry is
+    positive, sorted."""
+    zero = (0,) * n
+    return sorted(
+        x
+        for x in _box(n, bound, rows)
+        if x > zero and gcd(*x) == 1 and not any(_dot(row, rows, x) for row in system)
+    )
+
+
+@given(st.data())
+def test_box_solutions_match_a_scan_of_the_box(data):
+    """The pool of the canonical form of a homogeneous system, drawn from
+    the supports and filtered by the system, is the canonical scan of the
+    box: from every support without a dimension (the unpruned reference),
+    and from the supports of each drawn relation dimension of a random
+    graph, where it is the scan filtered by that dimension."""
+    n, bound, rows, relations = data.draw(_systems())
+    pairs = list(combinations(range(n), 2))
+    graph = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    search = _Search(Presentation.of(graph), bound, True, None)
+    system = _canonical_system(relations)
+    want = _fresh_pool(relations, rows, n, bound)
+    assert search._pool(rows, system) == want
+    for dim in data.draw(st.lists(st.integers(1, n), max_size=3)):
+        assert search._pool(rows, system, dim) == [x for x in want if _relation_dim(search, x) == dim], dim
 
 
 def _minors_vanish(nonedges, u, x) -> bool:
@@ -240,10 +258,6 @@ def test_search_columns_match_the_minor_filter(data):
     want = [x for x in box if related(x) and sum(map(mul, g, x)) in (1, -1)]
     leaf = search._solve_last(v, rows, placed, minors)
     assert (list(leaf[2]) if leaf else []) == want
-
-
-def _fresh_pool(system, rows, n, bound):
-    return _canonical(_box_solutions([list(row) for row in system], rows, n, bound))
 
 
 @given(st.data())
@@ -325,8 +339,7 @@ def test_equivalent_systems_have_one_canonical_form(data):
         copy = data.draw(st.permutations(copy))
         assert _canonical_system(copy) == key, copy
     search = _Search(Presentation.of(Graph.from_edges(n, [])), bound, True, None)
-    scan = [x for x in _box(n, bound, rows) if not any(_dot(row, rows, x) for row in relations)]
-    assert search._pool(rows, key) == _canonical(scan)
+    assert search._pool(rows, key) == _fresh_pool(relations, rows, n, bound)
 
 
 def _laplace_minors(placed, n):
@@ -549,17 +562,11 @@ def test_walks_charge_the_recorded_budget(monkeypatch):
         assert got[0] <= LEAF_TEST_BUDGETS[key, bound], (key, bound)
 
 
-def test_pruned_reports_solve_no_box(monkeypatch):
-    """Every column of a pruned search, the last one too, draws its pool
-    from the supports of its relation dimension: the report of each
-    benchmark search runs with the box solve raising.  The closed form of
-    two_edges misses values its search realizes at bound 3, which the
-    report finds after the whole search."""
-
-    def raising(*args):
-        raise AssertionError("a pruned search solved a box")
-
-    monkeypatch.setattr(spectra, "_box_solutions", raising)
+def test_benchmark_reports_agree_with_their_closed_forms():
+    """The report of each benchmark search, whose every pool is drawn from
+    the supports of its relation dimension, finds no value its closed form
+    misses, save one: the closed form of two_edges misses values its search
+    realizes at bound 3, which the report finds after the whole search."""
     for key, bound in WALK_BUDGETS:
         g = CATALOG_BY_KEY[key].graph if key in CATALOG_BY_KEY else EXTRA_GRAPHS[key]
         try:
@@ -578,6 +585,35 @@ def test_pool_size_formula_matches_the_pool():
             for k in range(n + 1):
                 rows = tuple(range(n - k, n))
                 assert search._pool_size(k) == len(search._pool(rows, frozenset())), (n, bound, k)
+
+
+def _mobius_upto(bound):
+    """mu(d) for d = 0..bound (mu(0) unused), by a sieve."""
+    mu, prime = [1] * (bound + 1), [True] * (bound + 1)
+    for p in range(2, bound + 1):
+        if prime[p]:
+            for m in range(p, bound + 1, p):
+                prime[m] = m == p
+                mu[m] = -mu[m]
+            for m in range(p * p, bound + 1, p * p):
+                mu[m] = 0
+    return mu
+
+
+@given(st.integers(1, 2000))
+def test_pool_counts_match_the_moebius_sums(bound):
+    """The primitive vectors with support exactly s up to sign and the
+    unconstrained pool on k rows, counted without mu, are the Moebius sums
+    over the gcd d of the entries, sum_d mu(d) (2 floor(B/d))^s / 2 and
+    sum_d mu(d) ((2 floor(B/d) + 1)^k - 1) / 2, for s, k <= 5."""
+    mu = _mobius_upto(bound)
+    search = _Search(Presentation.of(Graph.from_edges(1, [])), bound, True, None)
+    for s in range(1, 6):
+        want = sum(mu[d] * (2 * (bound // d)) ** s for d in range(1, bound + 1)) // 2
+        assert search._support_count(s) == want, s
+    for k in range(6):
+        want = sum(mu[d] * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1)) // 2
+        assert search._pool_size(k) == want, k
 
 
 def test_support_pool_count_matches_the_pool():
