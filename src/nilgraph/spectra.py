@@ -521,6 +521,80 @@ def _degree_classes(g: Graph) -> list[tuple[tuple[int, ...], bool]]:
     return [(c, all(len({g.has_edge(a, b) for a in c for b in o if a != b}) < 2 for o in classes)) for c in classes]
 
 
+def _kernel_emitter(n: int, v: int):
+    """(lines, minor) of a kernel generated for the placed columns of an
+    n x n matrix whose solved column is v: lines starts with the code that
+    unpacks cols[c] into the local variables m<r>_<c>, for each c != v, and
+    minor(rows, cols) is the name of the minor on ``rows`` and ``cols`` of
+    the matrix those variables hold (an entry for one row, 1 for none).
+    Each minor is expanded along the last column of its column set; its
+    line, after those of its sub-minors, is appended to lines at the first
+    call, so each sub-minor is computed once."""
+    lines = [f"    {''.join(f'm{r}_{c}, ' for r in range(n))}= cols[{c}]\n" for c in range(n) if c != v]
+    names: dict[tuple, str] = {}
+
+    def minor(rows, cols) -> str:
+        if len(rows) < 2:
+            return f"m{rows[0]}_{cols[0]}" if rows else "1"
+        name = names.get((rows, cols))
+        if name is None:
+            c, m = cols[-1], len(rows)
+            terms = [
+                ((i + m) % 2 == 1, f"m{r}_{c} * {minor(rows[:i] + rows[i + 1 :], cols[:-1])}")
+                for i, r in enumerate(rows)
+            ]
+            name = names[rows, cols] = "d" + "_".join(map(str, rows + cols))
+            lines.append(f"    {name} = {_signed_sum(terms)}\n")
+        return name
+
+    return lines, minor
+
+
+def _compiled(source: str):
+    """The function ``kernel`` that ``source`` defines, compiled by
+    ``exec``, with the source kept as ``kernel.source``."""
+    namespace: dict = {}
+    exec(source, namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
+def _cofactor_terms(n: int) -> int:
+    """The Laplace terms ``_cofactor_kernel`` emits for an n x n matrix:
+    k for each k x k minor, 2 <= k < n, on the first k placed columns and
+    any k rows."""
+    return sum(comb(n, k) * k for k in range(2, n))
+
+
+def _cofactor_kernel(n: int, v: int):
+    """The leaf evaluator of a search without non-edges (the group is Z^n,
+    and R = |det(1 - M)|) whose solved vertex is v, called as
+    ``kernel(cols, solutions)`` on the placed columns of a matrix M (cols[v]
+    is unread): per solution x, |det(1 - M)| of the matrix whose column v
+    is x, or None where it is 0.
+
+    The kernel holds the entries of M - 1, as det(1 - M) = +-det(M - 1),
+    and expands det(M - 1) along column v: with D_r the minor of M - 1 off
+    row r and column v, it is sum_r (-1)^(r+v) D_r x[r] - D_v, so the value
+    is |D_v - sum_r (-1)^(r+v) D_r x[r]|.  When every D_r is 0, so is every
+    value.  The minors are straight-line code with the sub-minors shared
+    (``_kernel_emitter``), ``_cofactor_terms(n)`` terms in all; the source,
+    kept as ``kernel.source``, holds only integer literals and names built
+    from vertex numbers, besides the names of the code."""
+    lines, minor = _kernel_emitter(n, v)
+    lines += [f"    m{c}_{c} -= 1\n" for c in range(n) if c != v]
+    placed = tuple(c for c in range(n) if c != v)
+    minors = [minor(tuple(r for r in range(n) if r != skip), placed) for skip in range(n)]
+    value = _signed_sum([(True, minors[v])] + [((r + v) % 2 == 1, f"{d} * x{r}") for r, d in enumerate(minors)])
+    return _compiled(
+        f"def kernel(cols, solutions):\n{''.join(lines)}"
+        f"    if not ({' or '.join(minors)}):\n"
+        f"        return [None] * len(solutions)\n"
+        f"    return [abs({value}) or None for {''.join(f'x{r}, ' for r in range(n))}in solutions]\n"
+    )
+
+
 def _charpoly_kernel(classes, v: int, width: int):
     """The key kernel of a search whose solved vertex is v, for the degree
     classes (rows, whole) of ``_degree_classes``, called as ``kernel(cols)``
@@ -535,30 +609,12 @@ def _charpoly_kernel(classes, v: int, width: int):
     Each digit is affine in x.  A principal minor on rows S without v is a
     constant, and one with v is, expanded along column v, the sum over r
     in S of +-x[r] times the minor of M on rows S - r and columns S - v.
-    Every such minor of placed columns is expanded along the last column
-    of its column set, and each sub-minor is computed once.  The expansion
-    is emitted as straight-line code over local variables and compiled by
-    ``exec``; its source, kept as ``kernel.source``, holds only integer
-    literals and names built from vertex numbers."""
+    Every such minor of placed columns is emitted as straight-line code
+    over local variables, sub-minors shared (``_kernel_emitter``), and
+    compiled by ``exec``; its source, kept as ``kernel.source``, holds only
+    integer literals and names built from vertex numbers."""
     n = sum(len(rows) for rows, _ in classes)
-    lines = [f"    {''.join(f'm{r}_{c}, ' for r in range(n))}= cols[{c}]\n" for c in range(n) if c != v]
-    names: dict[tuple, str] = {}
-
-    def minor(rows, cols) -> str:
-        """The name of the minor of M on ``rows`` and ``cols``, emitting its
-        expansion (and those of its sub-minors) at the first call."""
-        if len(rows) < 2:
-            return f"m{rows[0]}_{cols[0]}" if rows else "1"
-        name = names.get((rows, cols))
-        if name is None:
-            c, m = cols[-1], len(rows)
-            terms = [
-                ((i + m) % 2 == 1, f"m{r}_{c} * {minor(rows[:i] + rows[i + 1 :], cols[:-1])}")
-                for i, r in enumerate(rows)
-            ]
-            name = names[rows, cols] = "d" + "_".join(map(str, rows + cols))
-            lines.append(f"    {name} = {_signed_sum(terms)}\n")
-        return name
+    lines, minor = _kernel_emitter(n, v)
 
     # Per digit: the (positive, expression) terms of each x[r] and of r = None.
     digits: list[dict] = []
@@ -582,12 +638,7 @@ def _charpoly_kernel(classes, v: int, width: int):
 
     coef = ", ".join(packed(r) for rows, _ in classes if v in rows for r in rows)
     offset = sum(1 << (width * i + width - 1) for i in range(len(digits)))
-    source = f"def kernel(cols):\n{''.join(lines)}    return {hex(offset)} + {packed(None)}, ({coef},)\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    kernel = namespace["kernel"]
-    kernel.source = source
-    return kernel
+    return _compiled(f"def kernel(cols):\n{''.join(lines)}    return {hex(offset)} + {packed(None)}, ({coef},)\n")
 
 
 def _signed_sum(terms) -> str:
@@ -603,6 +654,15 @@ def _make_leaf_values(search: _Search):
     Reidemeister number of the matrix whose column v is solutions[j], or
     None when it is infinite.  Within one pattern only the column of the
     solved vertex v varies.
+
+    Without non-edges (N = 0, a complete graph) the group is Z^n and R is
+    |det(1 - M1)|.  The search then generates one straight-line kernel at
+    its first leaf (``_cofactor_kernel``), charged its
+    ``_cofactor_terms(n)`` Laplace terms before it is generated, and each
+    pattern is charged n^3 + n per solution, as a direct evaluation is,
+    before the kernel evaluates it.  Compiling costs milliseconds, more
+    than the few patterns of a search with non-edges would save, so every
+    other search is evaluated as follows.
 
     det(1 - M1) is affine in column v, so it is one dot product d1 with the
     cofactors of column v of 1 - M1 (``_make_cofactors``).  Of 1 - M2 only
@@ -628,11 +688,20 @@ def _make_leaf_values(search: _Search):
     class by class in degree order (``_charpoly_kernel``); the solutions
     are packed once per object, so a pattern's keys are the byte slices of
     one big-integer product.  An edgeless graph is one whole class.  There
-    is no memo without non-edges (N = 0), where R is |d1|, or when one
-    class that is not whole holds every vertex: the key would be M1 itself.
+    is no memo when one class that is not whole holds every vertex: the key
+    would be M1 itself.
     """
     p, order, v = search.p, search.order, search.order[-1]
     n, N = p.n, p.N
+    if not N:
+        search._charge(_cofactor_terms(n))
+        kernel = _cofactor_kernel(n, v)
+
+        def complete_values(cols, solutions):
+            search._charge(n**3 + len(solutions) * n)
+            return kernel(cols, solutions)
+
+        return complete_values
     cofactors = _make_cofactors(order)
     eye = [1 if r == c else 0 for r in range(N) for c in range(N)]
     # Cells (row-major index of row (a, b), a, b) of one column of 1 - M2.
@@ -656,8 +725,6 @@ def _make_leaf_values(search: _Search):
             # det(1 - M1) vanishes whatever column v is.
             return [None] * len(solutions)
         d1s = [cof[v] - sum(map(mul, x, cof)) for x in solutions]
-        if not N:
-            return [abs(d1) or None for d1 in d1s]
         base = eye[:]
         for l, c, d in fixed:
             cc, cd = cols[c], cols[d]
@@ -678,7 +745,7 @@ def _make_leaf_values(search: _Search):
         return values
 
     classes = _degree_classes(p.graph)
-    if not N or classes == [(tuple(range(n)), False)]:
+    if classes == [(tuple(range(n)), False)]:
         return direct_values
     # The kernel is charged before it is generated: per whole class of m
     # rows the Laplace terms of its minors, as in the walk, else m^2 entries.
@@ -1188,25 +1255,32 @@ class _Search:
             self._counts[s] = count
         return count
 
-    def _pool_size(self, k: int) -> int:
+    def _support_floor(self, s: int) -> int:
+        """A lower bound of ``_support_count(s)`` in O(1) steps, exact for
+        s = 1.  Of the (2B)^s / 2 vectors up to sign, those with gcd d >= 2
+        number at most (2B/d)^s / 2, so the primitive ones number at least
+        2^(s-1) B^s (2 - zeta(s)), and zeta(s) - 1 <= 2^-s + 2^(1-s)/(s-1):
+        at least B^s (2^(s-1) - 1/2 - 1/(s-1)), rounded down."""
+        if s == 1:
+            return 1
+        return self.bound**s * ((s - 1) * ((1 << s) - 1) - 2) // (2 * (s - 1))
+
+    def _pool_size(self, k: int, count=None) -> int:
         """The size of the unconstrained pool on k rows: C(k, s) supports
-        of each size s, each holding ``_support_count(s)`` vectors."""
-        return sum(comb(k, s) * self._support_count(s) for s in range(1, k + 1))
+        of each size s, each holding ``_support_count(s)`` vectors, or a
+        lower bound of it from a lower bound ``count`` of that count."""
+        count = count or self._support_count
+        return sum(comb(k, s) * count(s) for s in range(1, k + 1))
 
     def _charge_pool(self, k: int) -> None:
         """Charge the size of the unconstrained pool on k rows, computed
-        only under a finite budget.  Its lower bound
-        ((2B+1)^k - (2B-1)^k) / 2, the vectors with an entry +-1, all
-        primitive, up to sign, is compared with the units left first: a
-        larger bound is charged instead, and raises at the node where the
-        size would have raised, before the size is counted."""
-        if self.left is None:
-            return
-        b = self.bound
-        low = ((2 * b + 1) ** k - (2 * b - 1) ** k) // 2
-        if low > self.left:
-            self._charge(low)
-        self._charge(self._pool_size(k))
+        only under a finite budget.  Its lower bound from
+        ``_support_floor`` is compared with the units left first: a larger
+        bound is charged instead, and raises at the node where the size
+        would have raised, before any support size is counted."""
+        if self.left is not None:
+            low = self._pool_size(k, self._support_floor)
+            self._charge(low if low > self.left else self._pool_size(k))
 
     def check_structure(self, cols) -> None:
         """Check that the columns respect the degree filtration and, with
@@ -1293,10 +1367,12 @@ class _Search:
                 yield support
             support = (support - 1) & full
 
-    def _support_pool_size(self, rows: tuple[int, ...], dim: int) -> int:
+    def _support_pool_size(self, rows: tuple[int, ...], dim: int, count=None) -> int:
         """The size of ``_support_pool(rows, dim)``, without building it:
-        ``_support_count(|S|)`` per support S of that dimension."""
-        return sum(self._support_count(support.bit_count()) for support in self._supports(rows, dim))
+        ``_support_count(|S|)`` per support S of that dimension, or a lower
+        bound of it from a lower bound ``count`` of that count."""
+        count = count or self._support_count
+        return sum(count(support.bit_count()) for support in self._supports(rows, dim))
 
     def _support_dim(self, support: int) -> int:
         """The dimension of the relation space of the columns whose support
@@ -1334,8 +1410,9 @@ class _Search:
         build the support pool of its rows and dimension.  It is charged for
         its solve, not for that pool (see ``_Search``), but in a pruned
         search under a finite budget the pool is first counted
-        (``_support_pool_size``, from one count per support size), and a
-        count above the units left raises before it is built.  The pool is
+        (``_support_pool_size``, from one count per support size, after
+        its lower bound from ``_support_floor``), and a bound or a count
+        above the units left raises before it is built.  The pool is
         packed once (``_pack``, see ``_packed_solutions``), and the
         solutions of each +-g are kept with the packing: g.x = +-1 does not
         change under g -> -g, so g is keyed with its first nonzero entry
@@ -1344,7 +1421,10 @@ class _Search:
         packed = self._packed.get(key)
         if packed is None:
             fresh = dim is not None and self.left is not None and (rows, (), dim) not in self._pools
-            if fresh and self._support_pool_size(rows, dim) > self.left:
+            if fresh and any(
+                self._support_pool_size(rows, dim, count) > self.left
+                for count in (self._support_floor, self._support_count)
+            ):
                 raise SearchBudgetExceeded("search node budget exhausted")
             pool = self._pool(rows, system, dim)
             size = (_det_width(self.n, self.bound) + 7) // 8
@@ -1707,7 +1787,9 @@ def compute_spectrum_report(
     values and the witnesses unchanged.  Each kept pattern is evaluated
     against the leaf's solutions, through one memo per report keyed, per
     degree class, by the characteristic polynomial of its diagonal block
-    or by the block's entries (``_make_leaf_values``).  With more than one
+    or by the block's entries; on a complete graph, where R is
+    |det(1 - M)|, by one kernel per report generated for the cofactors of
+    the solved column (``_make_leaf_values``).  With more than one
     degree class only the smallest solution of each restriction to the rows
     of the solved vertex's class is evaluated (``_observe``).  The last
     column is solved once per (rows, system, +-g) of the report

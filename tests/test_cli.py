@@ -379,6 +379,31 @@ class TestSearch:
             assert "budget" in capsys.readouterr().err
             assert len(built) == kernels
 
+    def test_budget_reaches_the_first_leaf_but_not_the_cofactor_kernel(self, write, capsys, monkeypatch):
+        """The cofactor kernel of a complete graph is charged its Laplace
+        terms at the first leaf, before it is generated: 24 on K4 at bound
+        1.  A budget that reaches the first leaf but not the charge exits 5
+        without generating the kernel; one unit more generates it (and runs
+        out later in the walk)."""
+        g = complete_graph(4)
+        search = spectra._Search(Presentation.of(g), 1, True, 10**18)
+        next(search.leaves(spectra._SignedGroup(g)))
+        first_leaf = 10**18 - search.left
+        kernel, built = spectra._cofactor_kernel, []
+
+        def counting(*args):
+            built.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(spectra, "_cofactor_kernel", counting)
+        path = write("g.json", g.to_json())
+        assert spectra._cofactor_terms(4) == 24
+        for budget, kernels in ((first_leaf + 23, 0), (first_leaf + 24, 1)):
+            built.clear()
+            assert main(["search", path, "--budget", str(budget)]) == 5
+            assert "budget" in capsys.readouterr().err
+            assert len(built) == kernels
+
     def test_budget_charges_leaf_evaluation(self, write):
         """Each direct evaluation of a leaf is charged before any
         determinant: n^3 for the cofactors, and per solution n for det(1 - M1)
@@ -427,6 +452,19 @@ class TestSearch:
         argv = ["search", write("g.json", K2), "--bound", "10000000", "--budget", "1000000000"]
         done = capped_main(argv, 2, timeout=5)
         assert perf_counter() - t0 < 5
+        assert done.returncode == 5, done.stderr
+        assert "budget" in done.stderr
+
+    def test_huge_bound_bounds_each_support_count_first(self, write):
+        """Before the pool size is counted, its lower bound from one
+        closed-form bound per support size is compared with the units left:
+        K2 at ``--bound 1000000000`` with ``--budget 10000000000``, whose
+        two-row supports alone hold over 5e17 vectors, exits 5 at once.
+        Counted exactly first, in O(B^(3/4)) steps, it took over 4 s."""
+        t0 = perf_counter()
+        argv = ["search", write("g.json", K2), "--bound", "1000000000", "--budget", "10000000000"]
+        done = capped_main(argv, 2, timeout=5)
+        assert perf_counter() - t0 < 1
         assert done.returncode == 5, done.stderr
         assert "budget" in done.stderr
 

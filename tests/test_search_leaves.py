@@ -13,11 +13,11 @@ import re
 import tokenize
 import tracemalloc
 from itertools import combinations, islice
-from operator import call, itemgetter, mul
+from operator import itemgetter, mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nilgraph.spectra as spectra
@@ -34,6 +34,8 @@ from nilgraph.spectra import (
     _column_matrix,
     _charpoly_kernel,
     _charpoly_width,
+    _cofactor_kernel,
+    _cofactor_terms,
     _degree_classes,
     _make_cofactors,
     _make_leaf_values,
@@ -92,8 +94,9 @@ LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + 
     pytest.param(empty_graph(5), 1, 20, False, id="N52"),
 ] + [
     # The kept sign patterns of the first leaves the report evaluates, with
-    # the symmetry group, through the memo: every class of these graphs is
-    # whole, so each is keyed by its characteristic polynomial.
+    # the symmetry group: through the memo, where every class is whole and
+    # so keyed by its characteristic polynomial, and on the complete graphs
+    # K3 and K4 through the generated cofactor kernel.
     pytest.param(CATALOG_BY_KEY[key].graph, bound, 20, True, id=f"{key}-B{bound}-grouped")
     for key, bound in (
         ("N42", 1),
@@ -102,6 +105,8 @@ LEAF_CASES = [pytest.param(e.graph, 1, 20, False, id=e.key) for e in CATALOG] + 
         ("star", 1),
         ("K3_plus_point", 1),
         ("P3_plus_point", 2),
+        ("K3", 3),
+        ("K4", 1),
     )
 ]
 
@@ -283,7 +288,7 @@ def test_r_is_constant_per_diagonal_block_key(key, bound):
     values: dict[tuple, int] = {}
     memo_values: dict[int, int] = {}
     for cols in islice(_automorphism_columns(p, bound), 400_000):
-        blocks_key = tuple(map(call, blocks, cols))
+        blocks_key = tuple(block(col) for block, col in zip(blocks, cols))
         if numbers.setdefault(blocks_key, len(numbers)) % step:
             continue
         m1 = [(1 if r == c else 0) - cols[c][r] for r in range(n) for c in range(n)]
@@ -379,14 +384,74 @@ def test_charpoly_kernel_gives_the_principal_minor_sums(drawn):
     assert [(key >> (width * i)) % (2 * half) - half for i in range(len(want))] == want
     assert 0 <= key < 1 << (len(want) * width)
     assert all(abs(e) < half for e in want)
-    for token in tokenize.generate_tokens(io.StringIO(kernel.source).readline):
+    _assert_kernel_tokens(kernel.source, KERNEL_NAMES, r"[md]\d+(_\d+)+")
+
+
+def _assert_kernel_tokens(source: str, names, built: str) -> None:
+    """Every token of a generated kernel's source is a name of ``names``,
+    a name built from vertex numbers (matching ``built``), an integer
+    literal or an operator."""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type == tokenize.NAME:
-            assert token.string in KERNEL_NAMES or re.fullmatch(r"[md]\d+(_\d+)+", token.string), token
+            assert token.string in names or re.fullmatch(built, token.string), token
         elif token.type == tokenize.NUMBER:
             assert isinstance(ast.literal_eval(token.string), int), token
         else:
             assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
                                   tokenize.ENDMARKER), token
+
+
+@st.composite
+def _solved_matrices(draw):
+    """(columns, placement order, solutions) of an n x n matrix, n in 1..5,
+    with entries in [-bound, bound], the bound small or up to 10^6, half
+    the draws with +-bound in every entry, and up to four more columns for
+    the solved vertex, the last of the order."""
+    n = draw(st.integers(1, 5))
+    bound = draw(st.one_of(st.integers(1, 3), st.integers(4, 10**6)))
+    corner = draw(st.booleans())
+    entry = st.sampled_from((-bound, bound)) if corner else st.integers(-bound, bound)
+    column = st.tuples(*[entry] * n)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    return cols, draw(st.permutations(range(n))), draw(st.lists(column, max_size=4))
+
+
+@given(_solved_matrices())
+# 1 - M is zero off the solved column, so every cofactor is 0.
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [0, 1, 2], [(0, 0, -1), (2, 1, 3)]))
+def test_cofactor_kernel_gives_det_one_minus_m(drawn):
+    """The generated cofactor kernel of a search on Z^n gives, for each
+    solution x, |det(1 - M)| by det_flat of the matrix whose solved column
+    is x, or None where that is 0."""
+    cols, order, solutions = drawn
+    n, v = len(cols), order[-1]
+    placed = cols[:]
+    placed[v] = None
+    solutions = [cols[v], *solutions]
+    want = []
+    for x in solutions:
+        m = [x if c == v else cols[c] for c in range(n)]
+        want.append(abs(det_flat([(r == c) - m[c][r] for r in range(n) for c in range(n)], n)) or None)
+    assert _cofactor_kernel(n, v)(placed, solutions) == want
+
+
+# The names the generated cofactor kernel may hold besides matrix entries
+# m<r>_<c>, minors d<r>_..._<c> and solution entries x<r>.
+COFACTOR_KERNEL_NAMES = {"def", "kernel", "cols", "solutions", "if", "not", "or", "return", "None", "len", "abs",
+                         "for", "in"}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cofactor_kernel_source(n):
+    """For every solved vertex, the cofactor kernel's source holds only
+    integer literals, operators, names built from vertex numbers and the
+    names of the code, and its minors hold the ``_cofactor_terms(n)``
+    Laplace terms the search is charged before generating it."""
+    for v in range(n):
+        source = _cofactor_kernel(n, v).source
+        _assert_kernel_tokens(source, COFACTOR_KERNEL_NAMES, r"[md]\d+(_\d+)+|x\d+")
+        minors = [line for line in source.splitlines() if line.startswith("    d")]
+        assert sum(line.count(" * ") for line in minors) == _cofactor_terms(n), (n, v)
 
 
 def test_edgeless_keys_wider_than_eight_bytes():

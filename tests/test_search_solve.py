@@ -616,6 +616,16 @@ def test_pool_counts_match_the_moebius_sums(bound):
         assert search._pool_size(k) == want, k
 
 
+@given(st.one_of(st.integers(1, 100), st.integers(101, 10**6)), st.integers(1, 8))
+def test_support_floor_bounds_the_count(bound, s):
+    """The closed-form bound the budget compares with the units left before
+    counting is at most the count of primitive vectors with support exactly
+    s up to sign, and so is the pool bound built from it for k = s rows."""
+    search = _Search(Presentation.of(Graph.from_edges(1, [])), bound, True, None)
+    assert 0 <= search._support_floor(s) <= search._support_count(s)
+    assert search._pool_size(s, search._support_floor) <= search._pool_size(s)
+
+
 def test_support_pool_count_matches_the_pool():
     """The count a last column compares with the budget before building
     its support pool is the size of that pool: for every catalog graph,
